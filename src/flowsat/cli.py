@@ -46,13 +46,21 @@ class OptimizeResult:
     costs_after: dict[str, float]
 
 
+def _saturate_trees(
+    trees: dict[str, Term], rules: RuleSet, limits: SaturationLimits
+) -> tuple[EGraph, dict[str, int], SaturationReport]:
+    """Add all sink trees to one shared graph and saturate it."""
+    g = EGraph()
+    roots = {name: g.add(t) for name, t in trees.items()}
+    report = g.saturate(list(roots.values()), list(rules.rewrites), limits)
+    return g, roots, report
+
+
 def optimize_trees(
     trees: dict[str, Term], rules: RuleSet, limits: SaturationLimits, model: CostModel
 ) -> tuple[dict[str, Term], SaturationReport]:
     """Saturate all sink trees in one shared graph, then extract each root."""
-    g = EGraph()
-    roots = {name: g.add(t) for name, t in trees.items()}
-    report = g.saturate(list(roots.values()), list(rules.rewrites), limits)
+    g, roots, report = _saturate_trees(trees, rules, limits)
     best = {name: extract_best(g, root, model) for name, root in roots.items()}
     return best, report
 
@@ -117,7 +125,7 @@ def parse_weights_config(text: str) -> dict[str, float]:
 
 
 def _build_model(args) -> CostModel:
-    weights: dict[str, float] = {"delta": 100.0, "persist": 100.0}
+    weights = CostModel().op_weights
     if getattr(args, "weights_file", None):
         with open(args.weights_file, encoding="utf-8") as fh:
             weights.update(parse_weights_config(fh.read()))
@@ -154,13 +162,13 @@ def _report_lines(result: OptimizeResult, fmt: str) -> list[str]:
     return lines
 
 
+def _load_program(path: str) -> ProgramFile:
+    with open(path, encoding="utf-8") as fh:
+        return parse_program(fh.read())
+
+
 def cmd_optimize(args) -> int:
-    try:
-        with open(args.program, encoding="utf-8") as fh:
-            program = parse_program(fh.read())
-    except (OSError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    program = _load_program(args.program)
     config = OptimizeConfig(
         rules=args.rules,
         limits=SaturationLimits(args.max_iters, args.max_nodes, args.max_millis),
@@ -199,14 +207,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        with open(args.program_a, encoding="utf-8") as fh:
-            p1 = parse_program(fh.read())
-        with open(args.program_b, encoding="utf-8") as fh:
-            p2 = parse_program(fh.read())
-    except (OSError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    p1 = _load_program(args.program_a)
+    p2 = _load_program(args.program_b)
     if set(p1.sinks) != set(p2.sinks):
         print("error: programs have different sink names", file=sys.stderr)
         return EXIT_USAGE
@@ -223,17 +225,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    try:
-        with open(args.program, encoding="utf-8") as fh:
-            program = parse_program(fh.read())
-    except (OSError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    trees = flatten(program)
-    g = EGraph()
-    roots = {name: g.add(t) for name, t in trees.items()}
+    trees = flatten(_load_program(args.program))
     limits = SaturationLimits(args.max_iters, args.max_nodes, args.max_millis)
-    report = g.saturate(list(roots.values()), list(rule_set(args.rules).rewrites), limits)
+    g, roots, report = _saturate_trees(trees, rule_set(args.rules), limits)
     for name, root in roots.items():
         print(f"; sink {name} -> class {g.find(root)}")
     sys.stdout.write(g.dump())
@@ -287,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as e:
+    except (OSError, ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

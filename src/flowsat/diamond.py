@@ -13,7 +13,7 @@ merge term or hoisted into the shared computation.
 
 from __future__ import annotations
 
-from .egraph import EGraph, Rewrite, Subst, parse_pattern
+from .egraph import EGraph, Rewrite, Subst, _node_key, parse_pattern
 from .rules import RuleSet, bidirectional
 from .terms import HOLE_OPS, Term, print_term
 
@@ -129,39 +129,6 @@ def shift_rules() -> RuleSet:
     return RuleSet("shift", tuple(rewrites))
 
 
-def _smallest_term(g: EGraph, cid: int) -> Term:
-    """Deterministic representative of a class: fewest nodes, then smallest
-    canonical printing. Holes and structural nodes count like any other."""
-    best: dict[int, tuple[int, str, Term]] = {}
-    changed = True
-    while changed:
-        changed = False
-        for c, nodes in g.classes.items():
-            for op, sym, children in sorted(nodes, key=lambda n: (n[0], n[1] or "", n[2])):
-                parts = []
-                size = 1
-                ok = True
-                for ch in children:
-                    got = best.get(g.find(ch))
-                    if got is None:
-                        ok = False
-                        break
-                    size += got[0]
-                    parts.append(got[2])
-                if not ok:
-                    continue
-                term = Term(op, tuple(parts), sym)
-                cand = (size, print_term(term), term)
-                cur = best.get(c)
-                if cur is None or cand[:2] < cur[:2]:
-                    best[c] = cand
-                    changed = True
-    got = best.get(g.find(cid))
-    if got is None:
-        raise DiamondError("class has no finite representative")
-    return got[2]
-
-
 def _wrap_holes(t: Term, hole_op: str, op: str, symbol: str | None) -> Term:
     if t.op == hole_op:
         return Term(op, (t,), symbol)
@@ -179,7 +146,7 @@ _HOLE_FOR_EDGE = {0: "hole-first", 1: "hole-second"}
 
 
 def _edge_zippers(g: EGraph, cid: int):
-    for node in sorted(g.class_nodes(cid), key=lambda n: (n[0], n[1] or "", n[2])):
+    for node in sorted(g.class_nodes(cid), key=_node_key):
         if node[0] == "zipper":
             yield node
 
@@ -189,16 +156,24 @@ def _class_has(g: EGraph, cid: int, op: str) -> bool:
 
 
 def _inline_applier(g: EGraph, cid: int, subst: Subst) -> list[int]:
+    from .extract import CostModel, best_term  # extract imports desugar from here
+
     out: list[int] = []
+    merge = None
     edges = [g.find(subst["e1"]), g.find(subst["e2"])]
     for pos in (0, 1):
         for znode in list(_edge_zippers(g, edges[pos])):
             front, back = znode[2]
-            for bnode in sorted(g.class_nodes(back), key=lambda n: (n[0], n[1] or "", n[2])):
+            for bnode in sorted(g.class_nodes(back), key=_node_key):
                 op, sym, bkids = bnode
                 if op not in EDGE_OPS or not _class_has(g, bkids[0], "hole-out"):
                     continue
-                merge = _smallest_term(g, g.find(subst["m"]))
+                if merge is None:
+                    # the applier adds e-nodes but never unions, so the merge
+                    # class's best member cannot change within this call. Unit
+                    # weights pick what a node count would: every member of a
+                    # class holds the same number of zero-weight scaffolding nodes
+                    merge = best_term(g, subst["m"], CostModel(op_weights={}))
                 new_merge = _wrap_holes(merge, _HOLE_FOR_EDGE[pos], op, sym)
                 new_back = g.add_enode("hole-out", None, ())
                 new_edge = g.add_enode("zipper", None, (front, new_back))
@@ -212,11 +187,11 @@ def _hoist_applier(g: EGraph, cid: int, subst: Subst) -> list[int]:
     out: list[int] = []
     e1, e2 = g.find(subst["e1"]), g.find(subst["e2"])
     for z1 in list(_edge_zippers(g, e1)):
-        for f1 in sorted(g.class_nodes(z1[2][0]), key=lambda n: (n[0], n[1] or "", n[2])):
+        for f1 in sorted(g.class_nodes(z1[2][0]), key=_node_key):
             if f1[0] not in EDGE_OPS or not _class_has(g, f1[2][0], "hole-in"):
                 continue
             for z2 in list(_edge_zippers(g, e2)):
-                for f2 in sorted(g.class_nodes(z2[2][0]), key=lambda n: (n[0], n[1] or "", n[2])):
+                for f2 in sorted(g.class_nodes(z2[2][0]), key=_node_key):
                     if f2[0] != f1[0] or f2[1] != f1[1]:
                         continue
                     if not _class_has(g, f2[2][0], "hole-in"):

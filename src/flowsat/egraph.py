@@ -12,8 +12,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .sexpr import Atom, ParseError, read_form
-from .terms import ARITY, HOLE_ATOMS, HOLE_OPS, Term, check_name
+from .sexpr import Atom, SExpr, read_form
+from .terms import ATOM_FOR_HOLE, HOLE_ATOMS, HOLE_OPS, Term, check_name, split_form
 
 ENode = tuple  # (op: str, symbol: str | None, children: tuple[int, ...])
 
@@ -33,7 +33,7 @@ class PNode:
 PatternT = Union[PVar, PNode]
 
 
-def pattern_from_sexpr(sx) -> PatternT:
+def pattern_from_sexpr(sx: SExpr) -> PatternT:
     if isinstance(sx, Atom):
         if sx.text.startswith("?"):
             return PVar(sx.text[1:])
@@ -41,26 +41,10 @@ def pattern_from_sexpr(sx) -> PatternT:
         if hole is not None:
             return PNode(hole, None, ())
         return PNode("source", check_name(sx.text, sx.line, sx.col, "source name"), ())
-    if not sx.items or not isinstance(sx.items[0], Atom):
-        raise ParseError("operator expected", sx.line, sx.col)
-    head = sx.items[0]
-    op = head.text
-    arity = ARITY.get(op)
-    if arity is None or op == "source" or op in HOLE_OPS:
-        raise ParseError(f"unknown operator {op!r}", head.line, head.col)
-    nchildren, has_symbol = arity
-    args = sx.items[1:]
+    op, fn, args = split_form(sx)
     symbol = None
-    if has_symbol:
-        if len(args) != nchildren + 1:
-            raise ParseError(f"{op} takes a function symbol and {nchildren} input(s)", head.line, head.col)
-        fn = args[0]
-        if not isinstance(fn, Atom):
-            raise ParseError(f"{op}: function symbol expected", fn.line, fn.col)
+    if fn is not None:
         symbol = fn.text if fn.text.startswith("?") else check_name(fn.text, fn.line, fn.col, "function name")
-        args = args[1:]
-    elif len(args) != nchildren:
-        raise ParseError(f"{op} takes {nchildren} input(s), got {len(args)}", head.line, head.col)
     return PNode(op, symbol, tuple(pattern_from_sexpr(a) for a in args))
 
 
@@ -418,7 +402,7 @@ class EGraph:
                 if op == "source":
                     toks = [sym]
                 elif op in HOLE_OPS:
-                    toks = [_HOLE_TOKEN[op]]
+                    toks = [ATOM_FOR_HOLE[op]]
                 elif sym is not None:
                     toks = [op, sym]
                 else:
@@ -427,9 +411,6 @@ class EGraph:
                 parts.append("(node " + " ".join(toks) + ")")
             lines.append(" ".join(parts) + ")")
         return "\n".join(lines) + "\n"
-
-
-_HOLE_TOKEN = {op: atom for atom, op in HOLE_ATOMS.items()}
 
 
 def _node_key(node: ENode):

@@ -91,8 +91,13 @@ def extract_best(g: EGraph, root: int, model: CostModel | None = None) -> Term:
     """Minimum-cost member term of root's class. Ties break toward the
     lexicographically smallest canonical printing, making extraction
     deterministic for a given graph and model."""
-    model = model or CostModel()
     g.rebuild()
+    return best_term(g, root, model or CostModel())
+
+
+def best_term(g: EGraph, root: int, model: CostModel) -> Term:
+    """extract_best on the graph as it stands, without rebuilding it first:
+    for appliers, which run mid-iteration and must not rebuild."""
     root = g.find(root)
     costs = _class_costs(g, model)
     if root not in costs:

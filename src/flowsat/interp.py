@@ -193,9 +193,11 @@ def synthetic_udfs() -> SyntheticUdfRegistry:
 
 
 def _eval_node(t: Term, ticks: int, inputs: TickTrace, udfs: UdfRegistry, memo: dict):
+    # memo maps id(t) to (t, output): holding t keeps a temporary desugared
+    # term alive, so its id cannot be reused by another term while memo lives
     got = memo.get(id(t))
     if got is not None:
-        return got
+        return got[1]
     op = t.op
     if op == "source":
         out = [inputs.ticks[i].get(t.symbol, ()) for i in range(ticks)]
@@ -266,7 +268,7 @@ def _eval_node(t: Term, ticks: int, inputs: TickTrace, udfs: UdfRegistry, memo: 
         out = _eval_node(desugar(t), ticks, inputs, udfs, memo)
     else:
         raise InterpError(f"cannot evaluate {op!r} outside a diamond")
-    memo[id(t)] = out
+    memo[id(t)] = (t, out)
     return out
 
 

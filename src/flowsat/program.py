@@ -153,11 +153,12 @@ def reform_cse(trees: dict[str, Term], min_size: int = 2) -> ProgramFile:
     """
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
-    used_names = set(trees)
+    base_used = set(trees)
     for t in trees.values():
         for n in iter_subterms(t):
             if n.op == "source":
-                used_names.add(n.symbol)
+                base_used.add(n.symbol)
+    used_names = set(base_used)
 
     work: dict[str, Term] = dict(trees)
     defs: dict[str, Term] = {}
@@ -206,11 +207,6 @@ def reform_cse(trees: dict[str, Term], min_size: int = 2) -> ProgramFile:
 
     for name in defs:
         place(name)
-    base_used = set(trees)
-    for t in trees.values():
-        for n in iter_subterms(t):
-            if n.op == "source":
-                base_used.add(n.symbol)
     new_names = []
     i = 0
     for _ in order:

@@ -55,7 +55,7 @@ HOLE_ATOMS = {
     "second": "hole-second",
 }
 HOLE_OPS = frozenset(HOLE_ATOMS.values())
-_ATOM_FOR_HOLE = {op: atom for atom, op in HOLE_ATOMS.items()}
+ATOM_FOR_HOLE = {op: atom for atom, op in HOLE_ATOMS.items()}
 
 UNARY_STATE_OPS = ("persist", "delta", "old", "prev")
 
@@ -144,14 +144,9 @@ def check_name(text: str, line: int, col: int, what: str = "name") -> str:
     return text
 
 
-def term_from_sexpr(sx: SExpr, allowed_holes: frozenset[str] = frozenset()) -> Term:
-    if isinstance(sx, Atom):
-        hole = HOLE_ATOMS.get(sx.text)
-        if hole is not None:
-            if hole not in allowed_holes:
-                raise ParseError(f"hole {sx.text!r} not allowed here", sx.line, sx.col)
-            return Term(hole)
-        return source(check_name(sx.text, sx.line, sx.col, "source name"))
+def split_form(sx: SList) -> tuple[str, Optional[Atom], tuple[SExpr, ...]]:
+    """Check an operator form's head and arity; the grammar shared by terms
+    and patterns. Returns (op, function-symbol atom or None, inputs)."""
     if not sx.items:
         raise ParseError("empty form", sx.line, sx.col)
     head = sx.items[0]
@@ -163,20 +158,31 @@ def term_from_sexpr(sx: SExpr, allowed_holes: frozenset[str] = frozenset()) -> T
         raise ParseError(f"unknown operator {op!r}", head.line, head.col)
     nchildren, has_symbol = arity
     args = sx.items[1:]
-    if has_symbol:
-        if len(args) != nchildren + 1:
-            raise ParseError(
-                f"{op} takes a function symbol and {nchildren} input(s), got {len(args)} arguments",
-                head.line, head.col,
-            )
-        fn = args[0]
-        if not isinstance(fn, Atom):
-            raise ParseError(f"{op}: function symbol expected", fn.line, fn.col)
-        symbol = check_name(fn.text, fn.line, fn.col, "function name")
-        children = tuple(term_from_sexpr(a, allowed_holes) for a in args[1:])
-        return Term(op, children, symbol)
-    if len(args) != nchildren:
-        raise ParseError(f"{op} takes {nchildren} input(s), got {len(args)}", head.line, head.col)
+    if not has_symbol:
+        if len(args) != nchildren:
+            raise ParseError(f"{op} takes {nchildren} input(s), got {len(args)}", head.line, head.col)
+        return op, None, args
+    if len(args) != nchildren + 1:
+        raise ParseError(
+            f"{op} takes a function symbol and {nchildren} input(s), got {len(args)} arguments",
+            head.line, head.col,
+        )
+    fn = args[0]
+    if not isinstance(fn, Atom):
+        raise ParseError(f"{op}: function symbol expected", fn.line, fn.col)
+    return op, fn, args[1:]
+
+
+def term_from_sexpr(sx: SExpr, allowed_holes: frozenset[str] = frozenset()) -> Term:
+    if isinstance(sx, Atom):
+        hole = HOLE_ATOMS.get(sx.text)
+        if hole is not None:
+            if hole not in allowed_holes:
+                raise ParseError(f"hole {sx.text!r} not allowed here", sx.line, sx.col)
+            return Term(hole)
+        return source(check_name(sx.text, sx.line, sx.col, "source name"))
+    op, fn, args = split_form(sx)
+    symbol = None if fn is None else check_name(fn.text, fn.line, fn.col, "function name")
     if op == "zipper":
         inner = allowed_holes | {"hole-in", "hole-out"}
         children = tuple(term_from_sexpr(a, inner) for a in args)
@@ -188,7 +194,7 @@ def term_from_sexpr(sx: SExpr, allowed_holes: frozenset[str] = frozenset()) -> T
         )
     else:
         children = tuple(term_from_sexpr(a, allowed_holes) for a in args)
-    return Term(op, children)
+    return Term(op, children, symbol)
 
 
 def parse_term(text: str) -> Term:
@@ -201,7 +207,7 @@ def print_term(t: Term) -> str:
     if t.op == "source":
         return t.symbol
     if t.op in HOLE_OPS:
-        return _ATOM_FOR_HOLE[t.op]
+        return ATOM_FOR_HOLE[t.op]
     parts = [t.op]
     if t.symbol is not None:
         parts.append(t.symbol)

@@ -4,6 +4,7 @@ import pytest
 
 from flowsat.egraph import EGraph, Rewrite, SaturationLimits, parse_pattern
 from flowsat.rules import core_rules
+from flowsat.sexpr import ParseError
 from flowsat.terms import chain, parse_term, source
 
 from oracles import (
@@ -277,3 +278,18 @@ def test_monotonic_equivalences_across_iterations():
         assert equal_pairs <= now
         equal_pairs = now
     assert equal_pairs  # the probe set does merge
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("()", "empty form"),
+        ("(frobnicate ?a)", "unknown operator"),
+        ("(cross ?a)", "cross takes 2"),
+        ("(map (persist ?a) ?b)", "function symbol"),
+    ],
+)
+def test_pattern_parse_errors_match_term_parse_errors(text, message):
+    for parse in (parse_term, parse_pattern):
+        with pytest.raises(ParseError, match=message):
+            parse(text)

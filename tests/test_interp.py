@@ -276,3 +276,20 @@ def test_merge_must_mention_both_edges():
     )
     with pytest.raises(DiamondError, match="both"):
         run(single_sink_program(one_sided), trace({"a": (1,)}))
+
+
+def test_two_diamonds_in_one_run_keep_their_own_outputs():
+    # each diamond is evaluated through a temporary desugared term; the
+    # second diamond's temporaries must not hit the first one's memo entries
+    diamonds = [
+        "(sink s1 (diamond a (zipper (map f in) out) (zipper in (map g out)) (chain first second)))",
+        "(sink s2 (diamond a (zipper (filter p in) out) (zipper in (map h out)) (cross first second)))",
+    ]
+    flat = parse_program(
+        "(sink s1 (chain (map f a) (map g a)))\n(sink s2 (cross (filter p a) (map h a)))\n"
+    )
+    for order in (diamonds, diamonds[::-1]):
+        program = parse_program("\n".join(order) + "\n")
+        for seed in range(3):
+            tr = random_trace(["a"], 6, seed=seed)
+            assert equivalent(program, flat, tr, synthetic_udfs())

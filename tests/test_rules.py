@@ -175,7 +175,7 @@ def test_every_recorded_application_is_sound():
     # replay the engine's own match phase on the two-way example and check
     # each application it would perform: one representative term per side,
     # equivalent on 5 random traces
-    from flowsat.diamond import _smallest_term
+    from flowsat.extract import CostModel, extract_best
 
     g = EGraph()
     g.add(parse_term("(delta (cross (persist add_member) (persist messages)))"))
@@ -184,13 +184,14 @@ def test_every_recorded_application_is_sound():
     g.saturate([], rules, small)
     g.rebuild()
     udfs = synthetic_udfs()
+    unit = CostModel(op_weights={})
     checked = 0
     for rw in rules:
         for cid, subst in g.ematch(rw.lhs):
             if rw.condition is not None and not rw.condition(g, g.find(cid), subst):
                 continue
             env = {
-                name: _smallest_term(g, val)
+                name: extract_best(g, val, unit)
                 for name, val in subst.items()
                 if isinstance(val, int)
             }
