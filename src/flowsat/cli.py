@@ -52,7 +52,7 @@ def _saturate_trees(
     """Add all sink trees to one shared graph and saturate it."""
     g = EGraph()
     roots = {name: g.add(t) for name, t in trees.items()}
-    report = g.saturate(list(roots.values()), list(rules.rewrites), limits)
+    report = g.saturate(list(rules.rewrites), limits)
     return g, roots, report
 
 

@@ -110,22 +110,17 @@ def _walk(t: Term):
 
 def shift_rules() -> RuleSet:
     """Cursor shifts: pop the outermost operator of one zipper half and wrap
-    the other half with it. Rate-limited to one shift per zipper class per
-    iteration since intermediate cursor states exist only to feed the
-    inline/hoist rules and otherwise balloon the graph."""
+    the other half with it. A zipper edge has finitely many cursor
+    positions, so the shifts saturate; the intermediate cursor states exist
+    only to feed the inline/hoist rules."""
     rewrites: list[Rewrite] = []
     for op in EDGE_OPS:
         fn = "?f " if op in ("map", "filter") else ""
-        pair = bidirectional(
+        rewrites += bidirectional(
             f"shift-{op}",
             f"(zipper ?a ({op} {fn}?b))",
             f"(zipper ({op} {fn}?a) ?b)",
         )
-        rewrites += pair
-    rewrites = [
-        Rewrite(r.name, r.lhs, r.rhs, condition=r.condition, limit_group="shift")
-        for r in rewrites
-    ]
     return RuleSet("shift", tuple(rewrites))
 
 

@@ -82,7 +82,6 @@ class Rewrite:
     rhs: Optional[PatternT] = None
     applier: Optional[Applier] = None
     condition: Optional[Condition] = None
-    limit_group: Optional[str] = None  # at most one application per matched class per iteration
 
     def __post_init__(self):
         if (self.rhs is None) == (self.applier is None):
@@ -307,7 +306,6 @@ class EGraph:
 
     def saturate(
         self,
-        roots: list[int],
         rules: list[Rewrite],
         limits: SaturationLimits | None = None,
     ) -> SaturationReport:
@@ -337,7 +335,6 @@ class EGraph:
                 if time.monotonic() > deadline:
                     timed_out = True
                     break
-            limiter: set = set()
             applied_since_check = 0
             hit_limit = None
             for rule, cid, subst in matches:
@@ -345,11 +342,6 @@ class EGraph:
                 subst = {k: self.find(v) if isinstance(v, int) else v for k, v in subst.items()}
                 if rule.condition is not None and not rule.condition(self, cid, subst):
                     continue
-                key = None
-                if rule.limit_group is not None:
-                    key = (rule.limit_group, cid)
-                    if key in limiter:
-                        continue
                 before = self.version
                 if rule.applier is not None:
                     new_ids = rule.applier(self, cid, subst)
@@ -359,8 +351,6 @@ class EGraph:
                     self.union(cid, nid)
                 if self.version == before:
                     continue  # no-op application: nothing new, nothing merged
-                if key is not None:
-                    limiter.add(key)
                 counts[rule.name] += 1
                 applied_since_check += 1
                 if applied_since_check >= 100:

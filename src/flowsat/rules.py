@@ -3,7 +3,10 @@
 Every rule states a primitive algebraic property of the operators rather
 than a special-cased optimization; incremental evaluation strategies fall
 out of their composition. Bidirectional laws are registered as two
-directed rewrites sharing a name prefix (.fwd / .rev).
+directed rewrites sharing a name prefix (.fwd / .rev). Laws whose one side
+is a bare variable (delta-persist) are registered in the reducing direction
+only: a bare-variable left side matches every class, so no run could reach
+a fixpoint.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ def chain_prev_fold() -> Rewrite:
 
 
 def core_rules() -> RuleSet:
-    rewrites: list[Rewrite] = []
-    rewrites += bidirectional("delta-persist", "(delta (persist ?a))", "?a")
+    rewrites = [Rewrite("delta-persist", lhs=parse_pattern("(delta (persist ?a))"), rhs=parse_pattern("?a"))]
     rewrites += bidirectional("persist-split", "(persist ?a)", "(chain (old ?a) ?a)")
     rewrites += bidirectional(
         "cross-dist-left",

@@ -75,7 +75,7 @@ def criterion(label):
 def optimize(term_text, rules, limits=None):
     g = EGraph()
     root = g.add(parse_term(term_text))
-    report = g.saturate([root], list(rules.rewrites), limits or SaturationLimits())
+    report = g.saturate(list(rules.rewrites), limits or SaturationLimits())
     return g, root, extract_best(g, root, CostModel()), report
 
 
@@ -220,7 +220,7 @@ def test_acceptance_6_diamond_pipeline():
     with criterion("6 diamond pipeline"):
         g = EGraph()
         root = g.add(parse_term(DIAMOND_INITIAL))
-        g.saturate([root], list(diamond_rules().rewrites), SaturationLimits())
+        g.saturate(list(diamond_rules().rewrites), SaturationLimits())
         assert g.find(g.add(parse_term(DIAMOND_FINAL))) == g.find(root)
         udfs = UdfRegistry()
         udfs.register_map("with_school", lambda v: (v, "berkeley" if v % 2 == 0 else "stanford"))
@@ -265,7 +265,7 @@ def test_acceptance_7_flatten_optimize_reform_round_trip():
             trees = flatten(program)
             g = EGraph()
             roots = {name: g.add(t) for name, t in trees.items()}
-            g.saturate(list(roots.values()), rules, limits)
+            g.saturate(rules, limits)
             best = {name: extract_best(g, r, model) for name, r in roots.items()}
             reformed = reform_cse(best, 2)
             # re-flattening gives back exactly the optimized trees

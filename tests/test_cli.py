@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from flowsat.cli import main, parse_weights_config
@@ -5,6 +7,7 @@ from flowsat.program import parse_program
 from flowsat.terms import count_op
 
 TWO_WAY = "(sink out (delta (cross (persist add_member) (persist messages))))\n"
+PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.flow"))
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +60,13 @@ def test_optimize_strict_flags_limit_stop(tmp_path, capsys):
     )
     assert code == 1
     assert "warning" in err
+
+
+@pytest.mark.parametrize("prog", PROGRAMS, ids=lambda p: p.stem)
+def test_optimize_strict_saturates_shipped_programs(prog, capsys):
+    code, _, err = run_cli(capsys, "optimize", str(prog), "--strict", "--format", "lines")
+    assert code == 0
+    assert "stop=saturated" in err.splitlines()
 
 
 def test_optimize_lines_format(tmp_path, capsys):

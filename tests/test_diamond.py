@@ -80,7 +80,7 @@ def test_desugar_nested_diamond_in_merge():
 def test_shift_moves_cursor_between_halves():
     g = EGraph()
     root = g.add(parse_term("(zipper in (map f (filter g out)))"))
-    g.saturate([root], list(shift_rules().rewrites), SaturationLimits(max_iters=8))
+    g.saturate(list(shift_rules().rewrites), SaturationLimits(max_iters=8))
     shifted = parse_term("(zipper (map f in) (filter g out))")
     assert g.find(g.add(shifted)) == g.find(root)
     # bidirectional: fully shifted form also reachable, and so is the original
@@ -91,7 +91,7 @@ def test_shift_moves_cursor_between_halves():
 def test_shift_empty_front_only_back_shifts_apply():
     g = EGraph()
     root = g.add(parse_term("(zipper in (persist out))"))
-    rep = g.saturate([root], list(shift_rules().rewrites), SaturationLimits(max_iters=4))
+    rep = g.saturate(list(shift_rules().rewrites), SaturationLimits(max_iters=4))
     assert g.find(g.add(parse_term("(zipper (persist in) out)"))) == g.find(root)
     assert rep.stop_reason == "saturated"
 
@@ -103,7 +103,7 @@ def test_inline_moves_isolated_back_operator_into_merge():
             "(diamond s (zipper in (filter berkeley out)) (zipper in out) (cross first second))"
         )
     )
-    g.saturate([root], [inline_rule()], SaturationLimits(max_iters=4))
+    g.saturate([inline_rule()], SaturationLimits(max_iters=4))
     expected = parse_term(
         "(diamond s (zipper in out) (zipper in out) (cross (filter berkeley first) second))"
     )
@@ -115,7 +115,7 @@ def test_inline_identity_back_does_not_match():
     root = g.add(
         parse_term("(diamond s (zipper in out) (zipper in out) (cross first second))")
     )
-    rep = g.saturate([root], [inline_rule()], SaturationLimits(max_iters=3))
+    rep = g.saturate([inline_rule()], SaturationLimits(max_iters=3))
     assert rep.rule_counts["inline-merge"] == 0
 
 
@@ -126,7 +126,7 @@ def test_inline_both_edges_confluent():
             "(diamond s (zipper in (map f out)) (zipper in (filter g out)) (cross first second))"
         )
     )
-    rep = g.saturate([root], [inline_rule()], SaturationLimits(max_iters=6))
+    rep = g.saturate([inline_rule()], SaturationLimits(max_iters=6))
     assert rep.stop_reason == "saturated"
     fully = parse_term(
         "(diamond s (zipper in out) (zipper in out) (cross (map f first) (filter g second)))"
@@ -141,7 +141,7 @@ def test_hoist_requires_identical_fronts():
             "(diamond s (zipper (map f in) out) (zipper (map g in) out) (cross first second))"
         )
     )
-    rep = g.saturate([root], [hoist_rule()], SaturationLimits(max_iters=3))
+    rep = g.saturate([hoist_rule()], SaturationLimits(max_iters=3))
     assert rep.rule_counts["hoist-shared"] == 0
 
 
@@ -152,7 +152,7 @@ def test_hoist_shares_identical_front_operator():
             "(diamond (persist a) (zipper (map f in) out) (zipper (map f in) out) (cross first second))"
         )
     )
-    g.saturate([root], [hoist_rule()], SaturationLimits(max_iters=3))
+    g.saturate([hoist_rule()], SaturationLimits(max_iters=3))
     expected = parse_term(
         "(diamond (map f (persist a)) (zipper in out) (zipper in out) (cross first second))"
     )
@@ -166,12 +166,12 @@ def test_hoist_needs_shift_to_align_first():
     )
     g = EGraph()
     root = g.add(parse_term(text))
-    rep = g.saturate([root], [hoist_rule()], SaturationLimits(max_iters=3))
+    rep = g.saturate([hoist_rule()], SaturationLimits(max_iters=3))
     assert rep.rule_counts["hoist-shared"] == 0
 
     g = EGraph()
     root = g.add(parse_term(text))
-    rep = g.saturate([root], list(diamond_rules().rewrites), SaturationLimits(max_iters=8))
+    rep = g.saturate(list(diamond_rules().rewrites), SaturationLimits(max_iters=8))
     hoisted = parse_term(
         "(diamond (map f s) (zipper in out) (zipper in out) (cross first second))"
     )
@@ -182,7 +182,7 @@ def test_hoist_needs_shift_to_align_first():
 def test_full_pipeline_reaches_reference_final_form():
     g = EGraph()
     root = g.add(parse_term(INITIAL))
-    rep = g.saturate([root], list(diamond_rules().rewrites), SaturationLimits())
+    rep = g.saturate(list(diamond_rules().rewrites), SaturationLimits())
     assert rep.stop_reason == "saturated"
     assert g.find(g.add(parse_term(FINAL))) == g.find(root)
 

@@ -135,7 +135,7 @@ def test_saturate_delta_persist_collapse():
     root = g.add(parse_term("(delta (persist a))"))
     a = g.add(source("a"))
     rule = Rewrite("collapse", parse_pattern("(delta (persist ?a))"), parse_pattern("?a"))
-    rep = g.saturate([root], [rule], SaturationLimits(max_iters=4))
+    rep = g.saturate([rule], SaturationLimits(max_iters=4))
     assert g.find(root) == g.find(a)
     assert rep.rule_counts["collapse"] == 1
     assert rep.stop_reason == "saturated"
@@ -145,7 +145,7 @@ def test_saturate_empty_rules_is_immediate_fixpoint():
     g = EGraph()
     g.add(parse_term("(chain a b)"))
     before = g.version
-    rep = g.saturate([], [], SaturationLimits())
+    rep = g.saturate([], SaturationLimits())
     assert rep.stop_reason == "saturated"
     assert rep.iterations == 1
     assert g.version == before
@@ -157,7 +157,7 @@ def test_saturate_chain_assoc_produces_all_catalan_shapes():
     nested = chain(chain(chain(leaves[0], leaves[1]), leaves[2]), leaves[3])
     root = g.add(nested)
     assoc = [r for r in core_rules().rewrites if r.name.startswith("chain-assoc")]
-    g.saturate([root], assoc, SaturationLimits(max_iters=8))
+    g.saturate(assoc, SaturationLimits(max_iters=8))
     shapes = chain_shapes(leaves)
     assert len(shapes) == 5  # Catalan(3), by explicit enumeration
     for shape in shapes:
@@ -170,7 +170,7 @@ def test_saturate_iteration_limit_reported():
     # expansive: every class gains a wrapper pair, whose pieces are new
     # classes to wrap next iteration
     grow = Rewrite("grow", parse_pattern("?x"), parse_pattern("(delta (persist ?x))"))
-    rep = g.saturate([root], [grow], SaturationLimits(max_iters=3, max_nodes=10_000))
+    rep = g.saturate([grow], SaturationLimits(max_iters=3, max_nodes=10_000))
     assert rep.stop_reason == "iteration-limit"
     assert rep.iterations == 3
 
@@ -179,7 +179,7 @@ def test_saturate_node_limit_reported():
     g = EGraph()
     root = g.add(source("a"))
     grow = Rewrite("grow", parse_pattern("?x"), parse_pattern("(delta (persist ?x))"))
-    rep = g.saturate([root], [grow], SaturationLimits(max_iters=1000, max_nodes=50))
+    rep = g.saturate([grow], SaturationLimits(max_iters=1000, max_nodes=50))
     assert rep.stop_reason == "node-limit"
     assert rep.enodes >= 50
 
@@ -194,7 +194,7 @@ def test_condition_sees_canonical_ids():
 
     rule = Rewrite("never", parse_pattern("(persist ?a)"), parse_pattern("?a"), condition=cond)
     root = g.add(parse_term("(persist a)"))
-    g.saturate([root], [rule], SaturationLimits(max_iters=2))
+    g.saturate([rule], SaturationLimits(max_iters=2))
     assert seen
     for cid, subst in seen:
         assert g.find(cid) == cid or True  # ids were canonical when checked
@@ -202,30 +202,11 @@ def test_condition_sees_canonical_ids():
     assert g.find(root) != g.find(g.add(source("a")))
 
 
-def test_limit_group_applies_once_per_class_per_iteration():
-    g = EGraph()
-    counted = []
-
-    def applier(graph, cid, subst):
-        counted.append(cid)
-        return [graph.add_enode("persist", None, (cid,))]
-
-    rule = Rewrite("limited", parse_pattern("(chain ?a ?b)"), applier=applier, limit_group="grp")
-    g.add(parse_term("(chain a b)"))
-    g.add(parse_term("(chain b a)"))
-    r1 = g.add(parse_term("(chain a a)"))
-    g.union(g.add(parse_term("(chain a b)")), r1)  # two chain nodes, one class
-    g.rebuild()
-    g.saturate([], [rule], SaturationLimits(max_iters=1))
-    # three chain nodes but only two distinct classes -> exactly two applications
-    assert len(counted) == 2
-
-
 def test_dump_contains_nodes_and_classes():
     g = EGraph()
     root = g.add(parse_term("(delta (persist a))"))
     rule = Rewrite("collapse", parse_pattern("(delta (persist ?a))"), parse_pattern("?a"))
-    g.saturate([root], [rule], SaturationLimits(max_iters=2))
+    g.saturate([rule], SaturationLimits(max_iters=2))
     text = g.dump()
     root_line = next(l for l in text.splitlines() if l.startswith(f"(class {g.find(root)} "))
     assert "(node a)" in root_line
@@ -236,7 +217,7 @@ def test_report_lines_format():
     g = EGraph()
     root = g.add(parse_term("(delta (persist a))"))
     rule = Rewrite("collapse", parse_pattern("(delta (persist ?a))"), parse_pattern("?a"))
-    rep = g.saturate([root], [rule], SaturationLimits(max_iters=2))
+    rep = g.saturate([rule], SaturationLimits(max_iters=2))
     lines = rep.to_lines().splitlines()
     assert "stop=saturated" in lines
     assert "applied.collapse=1" in lines
@@ -268,7 +249,7 @@ def test_monotonic_equivalences_across_iterations():
     rules = list(core_rules().rewrites)
     equal_pairs: set = set()
     for _ in range(4):
-        g.saturate([root], rules, SaturationLimits(max_iters=1, max_nodes=4000))
+        g.saturate(rules, SaturationLimits(max_iters=1, max_nodes=4000))
         now = {
             (i, j)
             for i in range(len(ids))

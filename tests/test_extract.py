@@ -63,7 +63,7 @@ def test_extract_from_collapsed_graph():
     g = EGraph()
     root = g.add(parse_term("(delta (persist a))"))
     rule = Rewrite("collapse", parse_pattern("(delta (persist ?a))"), parse_pattern("?a"))
-    g.saturate([root], [rule], SaturationLimits(max_iters=4))
+    g.saturate([rule], SaturationLimits(max_iters=4))
     best = extract_best(g, root, UNIT)
     assert best == source("a")
     assert term_cost(best, UNIT) == 1
@@ -72,7 +72,7 @@ def test_extract_from_collapsed_graph():
 def test_extracted_term_is_member_of_root_class():
     g = EGraph()
     root = g.add(parse_term("(delta (cross (persist a) (persist b)))"))
-    g.saturate([root], list(core_rules().rewrites), SaturationLimits(max_iters=8, max_nodes=20_000))
+    g.saturate(list(core_rules().rewrites), SaturationLimits(max_iters=8, max_nodes=20_000))
     best = extract_best(g, root)
     assert g.find(g.add(best)) == g.find(root)
 
@@ -81,7 +81,7 @@ def test_extraction_deterministic():
     def build():
         g = EGraph()
         root = g.add(parse_term("(delta (cross (persist a) (persist b)))"))
-        g.saturate([root], list(core_rules().rewrites), SaturationLimits(max_iters=8, max_nodes=20_000))
+        g.saturate(list(core_rules().rewrites), SaturationLimits(max_iters=8, max_nodes=20_000))
         return print_term(extract_best(g, root))
 
     assert build() == build()
@@ -90,7 +90,7 @@ def test_extraction_deterministic():
 def test_extract_cost_matches_term_cost():
     g = EGraph()
     root = g.add(parse_term("(delta (cross (persist a) (persist b)))"))
-    g.saturate([root], list(core_rules().rewrites), SaturationLimits(max_iters=8, max_nodes=20_000))
+    g.saturate(list(core_rules().rewrites), SaturationLimits(max_iters=8, max_nodes=20_000))
     model = CostModel()
     best = extract_best(g, root, model)
     costs_root = min_cost_by_depth(g, model.weight, 40)[g.find(root)]
@@ -134,7 +134,7 @@ def test_extraction_optimality_on_saturated_small_graphs():
     g = EGraph()
     root = g.add(parse_term("(chain (chain a b) (chain c d))"))
     assoc = [r for r in core_rules().rewrites if r.name.startswith("chain-assoc")]
-    rep = g.saturate([root], assoc, SaturationLimits())
+    rep = g.saturate(assoc, SaturationLimits())
     assert rep.stop_reason == "saturated"
     assert g.num_classes() <= 12
     oracle = min_cost_by_depth(g, UNIT.weight, 8)

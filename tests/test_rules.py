@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flowsat.egraph import EGraph, Rewrite, SaturationLimits
+from flowsat.egraph import EGraph, PVar, Rewrite, SaturationLimits
 from flowsat.interp import equivalent, random_trace, run, synthetic_udfs
 from flowsat.program import single_sink_program
 from flowsat.rules import chain_prev_fold, core_rules, join_rules, rule_set, unary_rules
@@ -16,7 +16,7 @@ LIMITS = SaturationLimits(max_iters=12, max_nodes=20_000, max_millis=10_000)
 def saturated_graph(term_text, rules):
     g = EGraph()
     root = g.add(parse_term(term_text))
-    rep = g.saturate([root], list(rules.rewrites), LIMITS)
+    rep = g.saturate(list(rules.rewrites), LIMITS)
     return g, root, rep
 
 
@@ -24,8 +24,11 @@ def test_core_rules_are_bidirectional_except_fold():
     rs = core_rules()
     names = [r.name for r in rs.rewrites]
     assert len(names) == len(set(names))
+    # delta-persist's right side is a bare variable, which as a left side
+    # would match every class: it is registered one way, reducing only
+    assert "delta-persist" in names
+    assert not any(n.startswith("delta-persist.") for n in names)
     for base in (
-        "delta-persist",
         "persist-split",
         "cross-dist-left",
         "cross-dist-right",
@@ -36,6 +39,12 @@ def test_core_rules_are_bidirectional_except_fold():
         assert f"{base}.fwd" in names and f"{base}.rev" in names
     assert "chain-prev-fold" in names
     assert "chain-prev-fold.rev" not in names
+
+
+def test_no_rule_has_a_bare_variable_left_side():
+    # such a left side matches every class, so saturation never reaches a fixpoint
+    bare = [r.name for r in rule_set("all").rewrites if isinstance(r.lhs, PVar)]
+    assert bare == []
 
 
 def test_rule_set_lookup():
@@ -69,13 +78,13 @@ def test_fold_fires_only_after_staged_union():
     chain_id = g.add(parse_term("(chain (prev x) b)"))
     x = g.add(source("x"))
     fold = chain_prev_fold()
-    rep = g.saturate([chain_id], [fold], SaturationLimits(max_iters=4))
+    rep = g.saturate([fold], SaturationLimits(max_iters=4))
     assert rep.rule_counts["chain-prev-fold"] == 0
     assert g.find(g.add(parse_term("(persist b)"))) != g.find(chain_id)
 
     g.union(chain_id, x)
     g.rebuild()
-    rep = g.saturate([chain_id], [fold], SaturationLimits(max_iters=4))
+    rep = g.saturate([fold], SaturationLimits(max_iters=4))
     assert rep.rule_counts["chain-prev-fold"] == 1
     assert g.find(g.add(parse_term("(persist b)"))) == g.find(chain_id)
 
@@ -87,7 +96,7 @@ def test_fold_never_fires_with_condition_forced_false():
     chain_id = g.add(parse_term("(chain (prev x) b)"))
     g.union(chain_id, g.add(source("x")))
     g.rebuild()
-    rep = g.saturate([chain_id], [forced], SaturationLimits(max_iters=4))
+    rep = g.saturate([forced], SaturationLimits(max_iters=4))
     assert rep.rule_counts["chain-prev-fold"] == 0
 
 
@@ -172,20 +181,21 @@ def _soundness_cases():
 
 
 def test_every_recorded_application_is_sound():
-    # replay the engine's own match phase on the two-way example and check
-    # each application it would perform: one representative term per side,
-    # equivalent on 5 random traces
+    # replay the engine's own match phase on the two-way example's fixpoint
+    # and check each application it would perform: one representative term
+    # per side, equivalent on 5 random traces
     from flowsat.extract import CostModel, extract_best
 
     g = EGraph()
     g.add(parse_term("(delta (cross (persist add_member) (persist messages)))"))
     rules = list(core_rules().rewrites)
-    small = SaturationLimits(max_iters=2, max_nodes=400)
-    g.saturate([], rules, small)
+    report = g.saturate(rules, LIMITS)
+    assert report.stop_reason == "saturated"
     g.rebuild()
     udfs = synthetic_udfs()
     unit = CostModel(op_weights={})
     checked = 0
+    unchecked = {rw.name for rw in rules}
     for rw in rules:
         for cid, subst in g.ematch(rw.lhs):
             if rw.condition is not None and not rw.condition(g, g.find(cid), subst):
@@ -205,7 +215,9 @@ def test_every_recorded_application_is_sound():
                 )
                 assert rep, f"{rw.name} {print_term(lhs)} vs {print_term(rhs)}: {rep.divergence}"
             checked += 1
+            unchecked.discard(rw.name)
     assert checked >= 20
+    assert unchecked == set()
 
 
 @pytest.mark.parametrize("rw", _soundness_cases(), ids=lambda r: r.name)
