@@ -19,15 +19,11 @@ from .interp import (
     UdfError,
     UdfRegistry,
     equivalent,
-    format_outputs,
-    parse_trace,
-    print_trace,
     random_trace,
     run,
     synthetic_udfs,
 )
 from .program import (
-    ProgramError,
     ProgramFile,
     flatten,
     parse_program,

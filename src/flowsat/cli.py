@@ -31,11 +31,6 @@ class OptimizeConfig:
     limits: SaturationLimits = field(default_factory=SaturationLimits)
     model: CostModel = field(default_factory=CostModel)
     cse_min_size: int = 2
-    check: int = 0
-    ticks: int = 10
-    seed: int = 0
-    strict: bool = False
-    fmt: str = "text"
 
 
 @dataclass
@@ -69,7 +64,7 @@ def optimize_program(program: ProgramFile, config: OptimizeConfig) -> OptimizeRe
     trees = flatten(program)
     model = config.model
     best, report = optimize_trees(trees, rule_set(config.rules), config.limits, model)
-    result = reform_cse(best, config.cse_min_size)
+    result = reform_cse(best, config.cse_min_size, program.sources)
     return OptimizeResult(
         program=result,
         report=report,
@@ -169,16 +164,12 @@ def _load_program(path: str) -> ProgramFile:
 
 def cmd_optimize(args) -> int:
     program = _load_program(args.program)
+    seed = _resolve_seed(args)
     config = OptimizeConfig(
         rules=args.rules,
         limits=SaturationLimits(args.max_iters, args.max_nodes, args.max_millis),
         model=_build_model(args),
         cse_min_size=args.cse_min_size,
-        check=args.check,
-        ticks=args.ticks,
-        seed=_resolve_seed(args),
-        strict=args.strict,
-        fmt=args.format,
     )
     result = optimize_program(program, config)
     text = print_program(result.program)
@@ -187,20 +178,20 @@ def cmd_optimize(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    for line in _report_lines(result, config.fmt):
+    for line in _report_lines(result, args.format):
         print(line, file=sys.stderr)
     status = EXIT_OK
     if result.report.stop_reason != "saturated":
         print(f"warning: saturation stopped early ({result.report.stop_reason})", file=sys.stderr)
-        if config.strict:
+        if args.strict:
             status = EXIT_STRICT
-    if config.check:
+    if args.check:
         failures = 0
-        for i, rep in run_checks(program, result.program, config.check, config.ticks, config.seed):
+        for i, rep in run_checks(program, result.program, args.check, args.ticks, seed):
             if not rep:
                 failures += 1
                 print(f"check: trace {i + 1} DIVERGED: {rep.divergence}", file=sys.stderr)
-        print(f"check: {config.check - failures}/{config.check} traces equivalent", file=sys.stderr)
+        print(f"check: {args.check - failures}/{args.check} traces equivalent", file=sys.stderr)
         if failures:
             return EXIT_DIVERGED
     return status

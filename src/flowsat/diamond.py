@@ -14,6 +14,7 @@ merge term or hoisted into the shared computation.
 from __future__ import annotations
 
 from .egraph import EGraph, Rewrite, Subst, _node_key, parse_pattern
+from .extract import CostModel, best_term
 from .rules import RuleSet, bidirectional
 from .terms import HOLE_OPS, Term, print_term
 
@@ -138,6 +139,9 @@ def _wrap_holes(t: Term, hole_op: str, op: str, symbol: str | None) -> Term:
 
 _DIAMOND_LHS = parse_pattern("(diamond ?s ?e1 ?e2 ?m)")
 _HOLE_FOR_EDGE = {0: "hole-first", 1: "hole-second"}
+# Unit weights pick what a node count would: every member of a class holds
+# the same number of zero-weight scaffolding nodes
+_UNIT = CostModel(op_weights={})
 
 
 def _edge_zippers(g: EGraph, cid: int):
@@ -151,8 +155,6 @@ def _class_has(g: EGraph, cid: int, op: str) -> bool:
 
 
 def _inline_applier(g: EGraph, cid: int, subst: Subst) -> list[int]:
-    from .extract import CostModel, best_term  # extract imports desugar from here
-
     out: list[int] = []
     merge = None
     edges = [g.find(subst["e1"]), g.find(subst["e2"])]
@@ -165,10 +167,8 @@ def _inline_applier(g: EGraph, cid: int, subst: Subst) -> list[int]:
                     continue
                 if merge is None:
                     # the applier adds e-nodes but never unions, so the merge
-                    # class's best member cannot change within this call. Unit
-                    # weights pick what a node count would: every member of a
-                    # class holds the same number of zero-weight scaffolding nodes
-                    merge = best_term(g, subst["m"], CostModel(op_weights={}))
+                    # class's best member cannot change within this call
+                    merge = best_term(g, subst["m"], _UNIT)
                 new_merge = _wrap_holes(merge, _HOLE_FOR_EDGE[pos], op, sym)
                 new_back = g.add_enode("hole-out", None, ())
                 new_edge = g.add_enode("zipper", None, (front, new_back))

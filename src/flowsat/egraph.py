@@ -405,8 +405,3 @@ class EGraph:
 
 def _node_key(node: ENode):
     return (node[0], node[1] or "", node[2])
-
-
-def term_class(g: EGraph, t: Term) -> int:
-    """Canonical class a term would land in (adds it if missing)."""
-    return g.find(g.add(t))

@@ -5,19 +5,29 @@ weight of 100: a delta recomputes and diffs whole histories, and a persist
 feeding a downstream operator replays its whole history every tick, so
 both stand for duplicated work that dwarfs any tree-size savings. old and
 prev stay cheap: the incremental forms the optimizer should reach consume
-history exactly once per new value.
+history exactly once per new value. Every other operator weighs 1.
 Diamond scaffolding (diamond/zipper/holes) costs nothing; a diamond's
 shared child is structurally referenced once, which is exactly the
 count-shared-work-once accounting the encoding exists for.
+
+Extraction is one bottom-up fixpoint over the classes reachable from the
+root, in the manner of egg's Extractor: each class keeps its best
+(cost, printing, term) so far, and a node becomes a candidate once all its
+child classes have one, so every candidate is a finite term. A class is
+visited again only when one of its child classes has improved. A candidate
+replaces the kept one when its (cost, printing) is smaller; a printing is
+built from the children's printings, and the smallest ones make the
+smallest. Only scaffolding weighs 0 and it never sits below its own class,
+so a best term never revisits a class along a path and the loop ends.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .diamond import desugar
-from .egraph import EGraph, _node_key
-from .terms import ARITY, Term, iter_subterms, print_term
+from .egraph import EGraph
+from .terms import ARITY, Term, iter_subterms, print_node
 
 STRUCTURAL_OPS = frozenset({"diamond", "zipper", "hole-in", "hole-out", "hole-first", "hole-second"})
 
@@ -32,13 +42,9 @@ def _default_weights() -> dict[str, float]:
 
 @dataclass(frozen=True)
 class CostModel:
-    default_weight: float = 1
     op_weights: dict[str, float] = field(default_factory=_default_weights)
-    diamond_shared_once: bool = True
 
     def __post_init__(self):
-        if self.default_weight <= 0:
-            raise ValueError("default_weight must be > 0")
         for op, w in self.op_weights.items():
             if op not in ARITY or op in STRUCTURAL_OPS:
                 raise ValueError(f"not a weightable operator: {op!r}")
@@ -48,43 +54,13 @@ class CostModel:
     def weight(self, op: str) -> float:
         if op in STRUCTURAL_OPS:
             return 0
-        return self.op_weights.get(op, self.default_weight)
+        return self.op_weights.get(op, 1)
 
 
 def term_cost(t: Term, model: CostModel | None = None) -> float:
-    """Weighted node count. With diamond_shared_once (the default) a
-    diamond's shared subtree counts once; otherwise the term is costed as
-    its desugared, duplicated form."""
+    """Weighted node count; a diamond's shared subtree counts once."""
     model = model or CostModel()
-    if not model.diamond_shared_once:
-        t = desugar(t)
     return sum(model.weight(n.op) for n in iter_subterms(t))
-
-
-def _class_costs(g: EGraph, model: CostModel) -> dict[int, float]:
-    """Bottom-up fixpoint from infinity; classes reachable only through
-    themselves stay unresolved and are never selected."""
-    costs: dict[int, float] = {}
-    changed = True
-    while changed:
-        changed = False
-        for cid, nodes in g.classes.items():
-            best = costs.get(cid)
-            for op, _sym, children in nodes:
-                total = model.weight(op)
-                ok = True
-                for ch in children:
-                    c = costs.get(g.find(ch))
-                    if c is None:
-                        ok = False
-                        break
-                    total += c
-                if ok and (best is None or total < best):
-                    best = total
-                    changed = True
-            if best is not None:
-                costs[cid] = best
-    return costs
 
 
 def extract_best(g: EGraph, root: int, model: CostModel | None = None) -> Term:
@@ -99,50 +75,47 @@ def best_term(g: EGraph, root: int, model: CostModel) -> Term:
     """extract_best on the graph as it stands, without rebuilding it first:
     for appliers, which run mid-iteration and must not rebuild."""
     root = g.find(root)
-    costs = _class_costs(g, model)
-    if root not in costs:
+    # (weight, op, symbol, canonical child classes) per reachable class
+    nodes: dict[int, list[tuple[float, str, str | None, tuple[int, ...]]]] = {}
+    parents: dict[int, set[int]] = defaultdict(set)
+    todo = [root]
+    while todo:
+        cid = todo.pop()
+        if cid in nodes:
+            continue
+        nodes[cid] = []
+        for op, sym, children in g.classes[cid]:
+            kids = tuple(map(g.find, children))
+            nodes[cid].append((model.weight(op), op, sym, kids))
+            for k in kids:
+                parents[k].add(cid)
+            todo.extend(kids)
+
+    best: dict[int, tuple[float, str, Term]] = {}
+    # classes to visit, in ascending id: all at first, then those with a
+    # child class that improved after their last visit
+    dirty = set(nodes)
+    while dirty:
+        for cid in sorted(dirty):
+            dirty.discard(cid)
+            cur = best.get(cid)
+            for weight, op, sym, kids in nodes[cid]:
+                cost = weight
+                got = []
+                for k in kids:
+                    kid = best.get(k)
+                    if kid is None:
+                        break
+                    got.append(kid)
+                    cost += kid[0]
+                else:
+                    if cur is not None and cost > cur[0]:
+                        continue
+                    text = print_node(op, sym, [k[1] for k in got])
+                    if cur is None or (cost, text) < cur[:2]:
+                        cur = (cost, text, Term(op, tuple(k[2] for k in got), sym))
+                        best[cid] = cur
+                        dirty |= parents[cid]
+    if root not in best:
         raise ExtractionError("root class has no finite-cost term")
-
-    memo: dict[int, tuple[str, Term]] = {}
-
-    def select(cid: int, stack: frozenset[int]) -> tuple[str, Term] | None:
-        got = memo.get(cid)
-        if got is not None:
-            return got
-        if cid in stack:
-            return None
-        stack = stack | {cid}
-        best: tuple[str, Term] | None = None
-        for node in sorted(g.classes[cid], key=_node_key):
-            op, sym, children = node
-            total = model.weight(op)
-            ok = True
-            for ch in children:
-                c = costs.get(g.find(ch))
-                if c is None:
-                    ok = False
-                    break
-                total += c
-            if not ok or total != costs[cid]:
-                continue
-            parts = []
-            for ch in children:
-                r = select(g.find(ch), stack)
-                if r is None:
-                    ok = False
-                    break
-                parts.append(r[1])
-            if not ok:
-                continue
-            term = Term(op, tuple(parts), sym)
-            s = print_term(term)
-            if best is None or s < best[0]:
-                best = (s, term)
-        if best is not None:
-            memo[cid] = best
-        return best
-
-    got = select(root, frozenset())
-    if got is None:
-        raise ExtractionError("root class has no extractable term")
-    return got[1]
+    return best[root][2]

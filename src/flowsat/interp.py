@@ -31,8 +31,7 @@ from typing import Callable, Optional, Union
 
 from .diamond import desugar
 from .program import ProgramFile, flatten
-from .sexpr import Atom, ParseError, SList, read_forms
-from .terms import Term, check_name, iter_subterms
+from .terms import Term, iter_subterms
 
 Value = Union[int, str, tuple]
 
@@ -46,7 +45,7 @@ class UdfError(Exception):
 
 
 def value_key(v: Value):
-    """Total order over the heterogeneous value domain, for canonical dumps."""
+    """Total order over the heterogeneous value domain, for sorted reports."""
     if isinstance(v, bool) or isinstance(v, int):
         return (0, v, ())
     if isinstance(v, str):
@@ -62,17 +61,6 @@ def format_value(v: Value) -> str:
     return "(tuple " + " ".join(format_value(x) for x in v) + ")" if v else "(tuple)"
 
 
-def _value_from_sexpr(sx) -> Value:
-    if isinstance(sx, Atom):
-        text = sx.text
-        if text.lstrip("-").isdigit():
-            return int(text)
-        return text
-    if not sx.items or not (isinstance(sx.items[0], Atom) and sx.items[0].text == "tuple"):
-        raise ParseError("value must be an integer, symbol, or (tuple ...)", sx.line, sx.col)
-    return tuple(_value_from_sexpr(x) for x in sx.items[1:])
-
-
 @dataclass(frozen=True)
 class TickTrace:
     """Per tick (1-based, contiguous), a batch per source; missing source
@@ -84,62 +72,11 @@ class TickTrace:
     def __len__(self) -> int:
         return len(self.ticks)
 
-    def sources(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for tick in self.ticks:
-            for name in tick:
-                seen.setdefault(name)
-        return list(seen)
-
-
-def parse_trace(text: str) -> TickTrace:
-    """One `(tick (source value...) ...)` form per tick."""
-    ticks = []
-    for form in read_forms(text):
-        if (
-            not isinstance(form, SList)
-            or not form.items
-            or not isinstance(form.items[0], Atom)
-            or form.items[0].text != "tick"
-        ):
-            raise ParseError("expected (tick ...)", form.line, form.col)
-        batches: dict[str, tuple[Value, ...]] = {}
-        for entry in form.items[1:]:
-            if not isinstance(entry, SList) or not entry.items or not isinstance(entry.items[0], Atom):
-                raise ParseError("expected (source_name value...)", entry.line, entry.col)
-            head = entry.items[0]
-            name = check_name(head.text, head.line, head.col, "source name")
-            values = tuple(_value_from_sexpr(x) for x in entry.items[1:])
-            batches[name] = batches.get(name, ()) + values
-        ticks.append(batches)
-    return TickTrace(tuple(ticks))
-
-
-def print_trace(trace: TickTrace) -> str:
-    lines = []
-    for tick in trace.ticks:
-        entries = [f"({name} " + " ".join(format_value(v) for v in batch) + ")" if batch else f"({name})" for name, batch in tick.items()]
-        lines.append("(tick " + " ".join(entries) + ")")
-    return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class OutputTrace:
     sink_names: tuple[str, ...]
     ticks: tuple[dict[str, tuple[Value, ...]], ...]
-
-
-def format_outputs(out: OutputTrace) -> str:
-    """Canonical dump: values sorted per sink per tick, for multiset diffing."""
-    lines = []
-    for tick in out.ticks:
-        entries = []
-        for name in out.sink_names:
-            vals = sorted(tick[name], key=value_key)
-            body = " ".join(format_value(v) for v in vals)
-            entries.append(f"({name} {body})" if body else f"({name})")
-        lines.append("(tick " + " ".join(entries) + ")")
-    return "\n".join(lines) + "\n"
 
 
 class UdfRegistry:

@@ -26,10 +26,6 @@ from .terms import (
 )
 
 
-class ProgramError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ProgramFile:
     defs: dict[str, Term] = field(default_factory=dict)
@@ -143,17 +139,20 @@ def _replace(t: Term, target: Term, replacement: Term) -> Term:
     return Term(t.op, children, t.symbol)
 
 
-def reform_cse(trees: dict[str, Term], min_size: int = 2) -> ProgramFile:
+def reform_cse(
+    trees: dict[str, Term], min_size: int = 2, sources: tuple[str, ...] = ()
+) -> ProgramFile:
     """Hoist repeated subtrees into defs; flatten() is its exact inverse.
 
     Counting is bottom-up: the smallest repeated subtree of node-count >=
     min_size is hoisted first, its occurrences become def references, and
     counting repeats on the replaced trees until nothing of size >=
-    min_size occurs twice.
+    min_size occurs twice. `sources` are the declared source names: the
+    result declares them too, and no def takes one of their names.
     """
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
-    base_used = set(trees)
+    base_used = set(trees) | set(sources)
     for t in trees.values():
         for n in iter_subterms(t):
             if n.op == "source":
@@ -218,4 +217,4 @@ def reform_cse(trees: dict[str, Term], min_size: int = 2) -> ProgramFile:
     env = {old_name: source(new) for old_name, new in rename.items()}
     out_defs = {rename[n]: _substitute(defs[n], env) for n in order}
     out_sinks = {k: _substitute(t, env) for k, t in work.items()}
-    return ProgramFile(defs=out_defs, sinks=out_sinks)
+    return ProgramFile(defs=out_defs, sinks=out_sinks, sources=tuple(sources))

@@ -57,8 +57,6 @@ HOLE_ATOMS = {
 HOLE_OPS = frozenset(HOLE_ATOMS.values())
 ATOM_FOR_HOLE = {op: atom for atom, op in HOLE_ATOMS.items()}
 
-UNARY_STATE_OPS = ("persist", "delta", "old", "prev")
-
 NAME_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
 # Operator names, hole atoms, and the handful of file-format keywords cannot
 # name sources, defs, or functions.
@@ -130,12 +128,6 @@ def diamond(shared: Term, edge1: Term, edge2: Term, merge: Term) -> Term:
     return Term("diamond", (shared, edge1, edge2, merge))
 
 
-HOLE_IN = Term("hole-in")
-HOLE_OUT = Term("hole-out")
-HOLE_FIRST = Term("hole-first")
-HOLE_SECOND = Term("hole-second")
-
-
 def check_name(text: str, line: int, col: int, what: str = "name") -> str:
     if not NAME_RE.match(text):
         raise ParseError(f"invalid {what} {text!r}", line, col)
@@ -202,17 +194,19 @@ def parse_term(text: str) -> Term:
     return term_from_sexpr(read_form(text))
 
 
+def print_node(op: str, symbol: Optional[str], child_texts: list[str]) -> str:
+    """Render one node over its children's renderings; print_term's step."""
+    if op == "source":
+        return symbol
+    if op in HOLE_OPS:
+        return ATOM_FOR_HOLE[op]
+    head = op if symbol is None else f"{op} {symbol}"
+    return "(" + " ".join([head, *child_texts]) + ")"
+
+
 def print_term(t: Term) -> str:
     """Canonical single-space-separated rendering; parse_term round-trips it."""
-    if t.op == "source":
-        return t.symbol
-    if t.op in HOLE_OPS:
-        return ATOM_FOR_HOLE[t.op]
-    parts = [t.op]
-    if t.symbol is not None:
-        parts.append(t.symbol)
-    parts.extend(print_term(c) for c in t.children)
-    return "(" + " ".join(parts) + ")"
+    return print_node(t.op, t.symbol, [print_term(c) for c in t.children])
 
 
 def iter_subterms(t: Term) -> Iterator[Term]:
@@ -240,7 +234,3 @@ def source_names(t: Term) -> list[str]:
             seen.setdefault(n.symbol)
     return list(seen)
 
-
-def function_symbols(t: Term) -> list[tuple[str, str]]:
-    """(op, symbol) pairs for every map/filter node, in preorder."""
-    return [(n.op, n.symbol) for n in iter_subterms(t) if n.op in ("map", "filter")]

@@ -231,9 +231,8 @@ def test_acceptance_6_diamond_pipeline():
         for seed in range(10):
             tr = random_trace(["add_member"], 8, seed=seed)
             assert equivalent(p1, p2, tr, udfs)
-        shared_once = CostModel(diamond_shared_once=True)
-        hoisted = term_cost(parse_term(DIAMOND_FINAL), shared_once)
-        flattened = term_cost(desugar(parse_term(DIAMOND_INITIAL)), shared_once)
+        hoisted = term_cost(parse_term(DIAMOND_FINAL), CostModel())
+        flattened = term_cost(desugar(parse_term(DIAMOND_INITIAL)), CostModel())
         assert hoisted < flattened
 
 

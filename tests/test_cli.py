@@ -186,3 +186,19 @@ def test_optimize_reforms_shared_subtrees(tmp_path, capsys):
     assert code == 0
     optimized = parse_program(out)
     assert optimized.defs  # the shared persist pipeline is re-formed as a def
+
+
+def test_optimize_keeps_source_declarations(tmp_path, capsys):
+    text = "(source a)\n(source b)\n(source d0)\n" + (
+        "(sink s1 (delta (cross (persist a) (persist b))))\n"
+        "(sink s2 (map f (delta (cross (persist a) (persist b)))))\n"
+    )
+    prog = write(tmp_path, "declared.flow", text)
+    code, out, _ = run_cli(capsys, "optimize", prog, "--rules", "core")
+    assert code == 0
+    assert out.startswith("(source a)\n(source b)\n(source d0)\n")
+    optimized = parse_program(out)
+    assert optimized.sources == ("a", "b", "d0")
+    # the shared optimized pipeline becomes a def, named apart from every
+    # declared source, even one no sink reads
+    assert optimized.defs and "d0" not in optimized.defs

@@ -9,10 +9,12 @@ from flowsat.diamond import (
     shift_rules,
 )
 from flowsat.egraph import EGraph, SaturationLimits
-from flowsat.extract import CostModel, term_cost
+from flowsat.extract import CostModel, extract_best, term_cost
 from flowsat.interp import UdfRegistry, equivalent, random_trace
 from flowsat.program import single_sink_program
 from flowsat.terms import parse_term, print_term
+
+from oracles import min_cost_by_depth
 
 INITIAL = (
     "(diamond (persist add_member)"
@@ -224,3 +226,32 @@ def test_diamond_interpreter_matches_flat_form():
     for seed in range(10):
         tr = random_trace(["add_member"], 6, seed=seed)
         assert equivalent(p1, p2, tr, udfs)
+
+
+def test_extraction_optimal_on_saturated_diamond_graphs():
+    # zero-weight scaffolding (diamond, zipper, holes) under every class: the
+    # extractor never loses to enumerating all trees up to depth 12
+    pipelines = [
+        INITIAL,
+        "(diamond (persist a) (zipper (filter p (map f in)) (old (delta out)))"
+        " (zipper (map f in) (prev (filter q (persist out)))) (chain (cross first second) second))",
+        "(diamond (chain a b) (zipper (old (map f (filter p in))) (delta (prev out)))"
+        " (zipper (filter p in) (map g (old (delta out)))) (join first (filter q second)))",
+        "(diamond (delta (persist a)) (zipper (map f (prev (filter p in))) (persist (old out)))"
+        " (zipper (prev (filter p in)) (map g (delta (filter q out)))) (cross first (map h second)))",
+    ]
+    checked = 0
+    for text in pipelines:
+        g = EGraph()
+        root = g.add(parse_term(text))
+        rep = g.saturate(list(diamond_rules().rewrites), SaturationLimits())
+        assert rep.stop_reason == "saturated"
+        for model in (CostModel(op_weights={}), CostModel()):
+            oracle = min_cost_by_depth(g, model.weight, 12)
+            assert oracle[g.find(root)] < float("inf")
+            for cid in list(g.classes):
+                if oracle[cid] == float("inf"):
+                    continue
+                assert term_cost(extract_best(g, cid, model), model) <= oracle[cid]
+                checked += 1
+    assert checked >= 800

@@ -9,10 +9,7 @@ from flowsat.interp import (
     UdfError,
     UdfRegistry,
     equivalent,
-    format_outputs,
     format_value,
-    parse_trace,
-    print_trace,
     random_trace,
     run,
     synthetic_udfs,
@@ -237,20 +234,6 @@ def test_random_trace_keyed_produces_shared_keys():
         if keys_a & keys_b:
             hits += 1
     assert hits >= 95  # collisions must actually occur
-
-
-def test_trace_file_round_trip():
-    text = "(tick (a 1 -2 (tuple 1 sym)) (b)) (tick (a) (b 3))"
-    tr = parse_trace(text)
-    assert tr.ticks[0]["a"] == (1, -2, (1, "sym"))
-    assert tr.ticks[0]["b"] == ()
-    assert parse_trace(print_trace(tr)) == tr
-
-
-def test_output_dump_sorted_canonical():
-    out = run(sink("(chain a a)"), trace({"a": (3, 1)}))
-    text = format_outputs(out)
-    assert text == "(tick (out 1 1 3 3))\n"
 
 
 def test_value_key_orders_mixed_types():
