@@ -30,7 +30,6 @@ class OptimizeConfig:
     rules: str = "all"
     limits: SaturationLimits = field(default_factory=SaturationLimits)
     model: CostModel = field(default_factory=CostModel)
-    cse_min_size: int = 2
 
 
 @dataclass
@@ -54,17 +53,18 @@ def _saturate_trees(
 def optimize_trees(
     trees: dict[str, Term], rules: RuleSet, limits: SaturationLimits, model: CostModel
 ) -> tuple[dict[str, Term], SaturationReport]:
-    """Saturate all sink trees in one shared graph, then extract each root."""
+    """Saturate all sink trees in one shared graph, then extract all roots in
+    one pass."""
     g, roots, report = _saturate_trees(trees, rules, limits)
-    best = {name: extract_best(g, root, model) for name, root in roots.items()}
-    return best, report
+    best = extract_best(g, list(roots.values()), model)
+    return dict(zip(roots, best)), report
 
 
 def optimize_program(program: ProgramFile, config: OptimizeConfig) -> OptimizeResult:
     trees = flatten(program)
     model = config.model
     best, report = optimize_trees(trees, rule_set(config.rules), config.limits, model)
-    result = reform_cse(best, config.cse_min_size, program.sources)
+    result = reform_cse(best, program.sources)
     return OptimizeResult(
         program=result,
         report=report,
@@ -169,7 +169,6 @@ def cmd_optimize(args) -> int:
         rules=args.rules,
         limits=SaturationLimits(args.max_iters, args.max_nodes, args.max_millis),
         model=_build_model(args),
-        cse_min_size=args.cse_min_size,
     )
     result = optimize_program(program, config)
     text = print_program(result.program)
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_saturation_flags(p_opt)
     p_opt.add_argument("--weight", action="append", default=[], metavar="OP=N")
     p_opt.add_argument("--weights-file", help="file of 'op = weight' lines")
-    p_opt.add_argument("--cse-min-size", type=int, default=2)
     p_opt.add_argument("--check", type=int, default=0, metavar="N",
                        help="differentially check against N random traces")
     p_opt.add_argument("--ticks", type=int, default=10)

@@ -168,7 +168,7 @@ def _inline_applier(g: EGraph, cid: int, subst: Subst) -> list[int]:
                 if merge is None:
                     # the applier adds e-nodes but never unions, so the merge
                     # class's best member cannot change within this call
-                    merge = best_term(g, subst["m"], _UNIT)
+                    (merge,) = best_term(g, [subst["m"]], _UNIT)
                 new_merge = _wrap_holes(merge, _HOLE_FOR_EDGE[pos], op, sym)
                 new_back = g.add_enode("hole-out", None, ())
                 new_edge = g.add_enode("zipper", None, (front, new_back))

@@ -10,15 +10,17 @@ Diamond scaffolding (diamond/zipper/holes) costs nothing; a diamond's
 shared child is structurally referenced once, which is exactly the
 count-shared-work-once accounting the encoding exists for.
 
-Extraction is one bottom-up fixpoint over the classes reachable from the
-root, in the manner of egg's Extractor: each class keeps its best
-(cost, printing, term) so far, and a node becomes a candidate once all its
-child classes have one, so every candidate is a finite term. A class is
-visited again only when one of its child classes has improved. A candidate
-replaces the kept one when its (cost, printing) is smaller; a printing is
-built from the children's printings, and the smallest ones make the
-smallest. Only scaffolding weighs 0 and it never sits below its own class,
-so a best term never revisits a class along a path and the loop ends.
+Extraction is one bottom-up fixpoint over the classes reachable from all
+the roots at once, in the manner of egg's Extractor, so a class shared by
+several sinks is settled once and every root in it gets the same Term
+object. Each class keeps its best (cost, printing, term) so far, and a
+node becomes a candidate once all its child classes have one, so every
+candidate is a finite term. A class is visited again only when one of its
+child classes has improved. A candidate replaces the kept one when its
+(cost, printing) is smaller; a printing is built from the children's
+printings, and the smallest ones make the smallest. Only scaffolding
+weighs 0 and it never sits below its own class, so a best term never
+revisits a class along a path and the loop ends.
 """
 
 from __future__ import annotations
@@ -63,22 +65,22 @@ def term_cost(t: Term, model: CostModel | None = None) -> float:
     return sum(model.weight(n.op) for n in iter_subterms(t))
 
 
-def extract_best(g: EGraph, root: int, model: CostModel | None = None) -> Term:
-    """Minimum-cost member term of root's class. Ties break toward the
-    lexicographically smallest canonical printing, making extraction
-    deterministic for a given graph and model."""
+def extract_best(g: EGraph, roots: list[int], model: CostModel | None = None) -> list[Term]:
+    """Minimum-cost member term of each root's class, in root order. Ties
+    break toward the lexicographically smallest canonical printing, making
+    extraction deterministic for a given graph and model."""
     g.rebuild()
-    return best_term(g, root, model or CostModel())
+    return best_term(g, roots, model or CostModel())
 
 
-def best_term(g: EGraph, root: int, model: CostModel) -> Term:
+def best_term(g: EGraph, roots: list[int], model: CostModel) -> list[Term]:
     """extract_best on the graph as it stands, without rebuilding it first:
     for appliers, which run mid-iteration and must not rebuild."""
-    root = g.find(root)
+    roots = [g.find(r) for r in roots]
     # (weight, op, symbol, canonical child classes) per reachable class
     nodes: dict[int, list[tuple[float, str, str | None, tuple[int, ...]]]] = {}
     parents: dict[int, set[int]] = defaultdict(set)
-    todo = [root]
+    todo = list(roots)
     while todo:
         cid = todo.pop()
         if cid in nodes:
@@ -116,6 +118,6 @@ def best_term(g: EGraph, root: int, model: CostModel) -> Term:
                         cur = (cost, text, Term(op, tuple(k[2] for k in got), sym))
                         best[cid] = cur
                         dirty |= parents[cid]
-    if root not in best:
+    if any(r not in best for r in roots):
         raise ExtractionError("root class has no finite-cost term")
-    return best[root][2]
+    return [best[r][2] for r in roots]

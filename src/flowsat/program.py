@@ -4,15 +4,18 @@ A program is a sequence of `(source name)`, `(def name term)` and
 `(sink name term)` forms. A name occurring as a leaf refers to the def of
 that name if one exists, otherwise to an external source stream.
 Referring to a def from more than one place is how a stream is tee'd:
-flatten() duplicates the shared subtree, reform_cse() re-discovers the
-duplicates and hoists them back into defs.
+flatten() inlines the shared subtree at each reference, and reform_cse()
+reads the sharing back off a hashconsed graph, making a def of each
+operator subtree that occurs more than once.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .egraph import EGraph
 from .sexpr import Atom, ParseError, SList, read_forms
 from .terms import (
     NAME_RE,
@@ -22,7 +25,6 @@ from .terms import (
     print_term,
     source,
     term_from_sexpr,
-    term_size,
 )
 
 
@@ -128,93 +130,48 @@ def flatten(p: ProgramFile) -> dict[str, Term]:
     return {name: _substitute(body, resolved) for name, body in p.sinks.items()}
 
 
-def _replace(t: Term, target: Term, replacement: Term) -> Term:
-    if t == target:
-        return replacement
-    if not t.children:
-        return t
-    children = tuple(_replace(c, target, replacement) for c in t.children)
-    if children == t.children:
-        return t
-    return Term(t.op, children, t.symbol)
+def reform_cse(trees: dict[str, Term], sources: tuple[str, ...] = ()) -> ProgramFile:
+    """Hoist every shared operator subtree into a def; flatten() is its
+    exact inverse.
 
-
-def reform_cse(
-    trees: dict[str, Term], min_size: int = 2, sources: tuple[str, ...] = ()
-) -> ProgramFile:
-    """Hoist repeated subtrees into defs; flatten() is its exact inverse.
-
-    Counting is bottom-up: the smallest repeated subtree of node-count >=
-    min_size is hoisted first, its occurrences become def references, and
-    counting repeats on the replaced trees until nothing of size >=
-    min_size occurs twice. `sources` are the declared source names: the
-    result declares them too, and no def takes one of their names.
+    Hashconsing is CSE: the trees go into a rule-less EGraph, where each
+    distinct subtree is one class holding one e-node. A class is read once
+    per sink it roots and once per child edge of that e-node, and each
+    non-leaf class read twice or more becomes a def. Defs are named d0,
+    d1, ... in post-order from the sinks, skipping names in use, so every
+    def refers only to earlier ones and none is read fewer than twice.
+    `sources` are the declared source names: the result declares them too,
+    and no def takes one of their names.
     """
-    if min_size < 1:
-        raise ValueError("min_size must be >= 1")
-    base_used = set(trees) | set(sources)
-    for t in trees.values():
-        for n in iter_subterms(t):
-            if n.op == "source":
-                base_used.add(n.symbol)
-    used_names = set(base_used)
+    g = EGraph()
+    roots = {name: g.add(t) for name, t in trees.items()}
+    node_of = {cid: node for cid, (node,) in g.classes.items()}
+    reads = Counter(roots.values())
+    for _, _, kids in node_of.values():
+        reads.update(kids)
+    used = set(trees) | set(sources) | {sym for op, sym, _ in node_of.values() if op == "source"}
+    names = (f"d{i}" for i in itertools.count() if f"d{i}" not in used)
 
-    work: dict[str, Term] = dict(trees)
     defs: dict[str, Term] = {}
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        while True:
-            name = f"d{counter}"
-            counter += 1
-            if name not in used_names:
-                used_names.add(name)
-                return name
-
-    while True:
-        counts: Counter[Term] = Counter()
-        for t in list(work.values()) + list(defs.values()):
-            for st in iter_subterms(t):
-                if st.op == "source" and st.symbol in defs:
-                    continue  # bare def references never re-hoist
-                if term_size(st) >= min_size:
-                    counts[st] += 1
-        repeated = [t for t, c in counts.items() if c >= 2]
-        if not repeated:
-            break
-        pick = min(repeated, key=lambda t: (term_size(t), print_term(t)))
-        name = fresh()
-        ref = source(name)
-        work = {k: _replace(t, pick, ref) for k, t in work.items()}
-        defs = {k: _replace(t, pick, ref) for k, t in defs.items()}
-        defs[name] = pick
-
-    # Order defs so every reference points to an earlier def, then renumber
-    # in that order so the printed file reads top-down.
-    order: list[str] = []
-    placed: set[str] = set()
-
-    def place(name: str):
-        if name in placed:
-            return
-        placed.add(name)
-        for n in iter_subterms(defs[name]):
-            if n.op == "source" and n.symbol in defs:
-                place(n.symbol)
-        order.append(name)
-
-    for name in defs:
-        place(name)
-    new_names = []
-    i = 0
-    for _ in order:
-        while f"d{i}" in base_used:
-            i += 1
-        new_names.append(f"d{i}")
-        i += 1
-    rename = dict(zip(order, new_names))
-    env = {old_name: source(new) for old_name, new in rename.items()}
-    out_defs = {rename[n]: _substitute(defs[n], env) for n in order}
-    out_sinks = {k: _substitute(t, env) for k, t in work.items()}
-    return ProgramFile(defs=out_defs, sinks=out_sinks, sources=tuple(sources))
+    built: dict[int, Term] = {}  # per class: its def reference or inlined tree
+    for root in roots.values():
+        stack = [root]
+        while stack:
+            cid = stack[-1]
+            if cid in built:
+                stack.pop()
+                continue
+            op, sym, kids = node_of[cid]
+            pending = [k for k in kids if k not in built]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            stack.pop()
+            body = Term(op, tuple(built[k] for k in kids), sym)
+            if kids and reads[cid] >= 2:
+                name = next(names)
+                defs[name] = body
+                body = source(name)
+            built[cid] = body
+    sinks = {name: built[root] for name, root in roots.items()}
+    return ProgramFile(defs=defs, sinks=sinks, sources=tuple(sources))

@@ -76,7 +76,7 @@ def optimize(term_text, rules, limits=None):
     g = EGraph()
     root = g.add(parse_term(term_text))
     report = g.saturate(list(rules.rewrites), limits or SaturationLimits())
-    return g, root, extract_best(g, root, CostModel()), report
+    return g, root, extract_best(g, [root], CostModel())[0], report
 
 
 def check_equivalent(term_text, best, sources, traces, ticks, keyed=False):
@@ -211,7 +211,7 @@ def test_acceptance_5_engine_properties():
             for cid in list(g.classes):
                 if oracle[cid] == float("inf"):
                     continue
-                assert term_cost(extract_best(g, cid, model), model) <= oracle[cid]
+                assert term_cost(extract_best(g, [cid], model)[0], model) <= oracle[cid]
                 checked += 1
         assert checked > 100
 
@@ -265,8 +265,8 @@ def test_acceptance_7_flatten_optimize_reform_round_trip():
             g = EGraph()
             roots = {name: g.add(t) for name, t in trees.items()}
             g.saturate(rules, limits)
-            best = {name: extract_best(g, r, model) for name, r in roots.items()}
-            reformed = reform_cse(best, 2)
+            best = dict(zip(roots, extract_best(g, list(roots.values()), model)))
+            reformed = reform_cse(best)
             # re-flattening gives back exactly the optimized trees
             assert flatten(reformed) == best
             # every repeated subtree of size >= 2 was hoisted into a def

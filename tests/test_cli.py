@@ -202,3 +202,22 @@ def test_optimize_keeps_source_declarations(tmp_path, capsys):
     # the shared optimized pipeline becomes a def, named apart from every
     # declared source, even one no sink reads
     assert optimized.defs and "d0" not in optimized.defs
+
+
+def test_optimize_meetup_prints_only_the_real_tee(capsys):
+    meetup = next(p for p in PROGRAMS if p.stem == "meetup")
+    code, out, _ = run_cli(capsys, "optimize", str(meetup))
+    assert code == 0
+    defs = [line for line in out.splitlines() if line.startswith("(def ")]
+    assert defs == ["(def d0 (map with_school (chain (old add_member) add_member)))"]
+
+
+def test_optimize_deep_program(tmp_path, capsys):
+    body = "a"
+    for _ in range(300):
+        body = f"(persist {body})"
+    prog = write(tmp_path, "deep.flow", f"(sink s {body})\n")
+    # run in-process: a RecursionError anywhere fails the test
+    code, out, _ = run_cli(capsys, "optimize", prog, "--max-nodes", "2000")
+    assert code == 0
+    assert parse_program(out).sinks["s"].op != "source"

@@ -5,10 +5,10 @@ import pytest
 from flowsat.diamond import desugar
 from flowsat.egraph import EGraph, Rewrite, SaturationLimits, parse_pattern
 from flowsat.extract import CostModel, ExtractionError, extract_best, term_cost
-from flowsat.rules import core_rules
+from flowsat.rules import core_rules, rule_set
 from flowsat.terms import parse_term, print_term, source
 
-from oracles import build_egraph, min_cost_by_depth, random_graph_spec
+from oracles import build_egraph, min_cost_by_depth, random_graph_spec, random_term
 
 UNIT = CostModel(op_weights={})
 DELTA_ONLY = CostModel(op_weights={"delta": 100})
@@ -63,7 +63,7 @@ def test_extract_from_collapsed_graph():
     root = g.add(parse_term("(delta (persist a))"))
     rule = Rewrite("collapse", parse_pattern("(delta (persist ?a))"), parse_pattern("?a"))
     g.saturate([rule], SaturationLimits(max_iters=4))
-    best = extract_best(g, root, UNIT)
+    best = extract_best(g, [root], UNIT)[0]
     assert best == source("a")
     assert term_cost(best, UNIT) == 1
 
@@ -72,7 +72,7 @@ def test_extracted_term_is_member_of_root_class():
     g = EGraph()
     root = g.add(parse_term("(delta (cross (persist a) (persist b)))"))
     g.saturate(list(core_rules().rewrites), SaturationLimits(max_iters=8, max_nodes=20_000))
-    best = extract_best(g, root)
+    best = extract_best(g, [root])[0]
     assert g.find(g.add(best)) == g.find(root)
 
 
@@ -81,7 +81,7 @@ def test_extraction_deterministic():
         g = EGraph()
         root = g.add(parse_term("(delta (cross (persist a) (persist b)))"))
         g.saturate(list(core_rules().rewrites), SaturationLimits(max_iters=8, max_nodes=20_000))
-        return print_term(extract_best(g, root))
+        return print_term(extract_best(g, [root])[0])
 
     assert build() == build()
 
@@ -91,7 +91,7 @@ def test_extract_cost_matches_term_cost():
     root = g.add(parse_term("(delta (cross (persist a) (persist b)))"))
     g.saturate(list(core_rules().rewrites), SaturationLimits(max_iters=8, max_nodes=20_000))
     model = CostModel()
-    best = extract_best(g, root, model)
+    best = extract_best(g, [root], model)[0]
     costs_root = min_cost_by_depth(g, model.weight, 40)[g.find(root)]
     assert term_cost(best, model) == costs_root
 
@@ -102,7 +102,7 @@ def test_tie_break_prefers_smallest_printing():
     b = g.add(source("b"))
     g.union(x, b)
     g.rebuild()
-    best = extract_best(g, x, UNIT)
+    best = extract_best(g, [x], UNIT)[0]
     assert print_term(best) == "b"  # "b" < "x"
 
 
@@ -122,7 +122,7 @@ def test_extraction_optimality_against_depth_bounded_enumeration():
             bound = oracle[cid]
             if bound == float("inf"):
                 continue
-            best = extract_best(g, cid, model)
+            best = extract_best(g, [cid], model)[0]
             assert term_cost(best, model) <= bound
             checked += 1
     assert checked > 100
@@ -137,7 +137,7 @@ def test_extraction_optimality_on_saturated_small_graphs():
     assert rep.stop_reason == "saturated"
     assert g.num_classes() <= 12
     oracle = min_cost_by_depth(g, UNIT.weight, 8)
-    best = extract_best(g, root, UNIT)
+    best = extract_best(g, [root], UNIT)[0]
     assert term_cost(best, UNIT) == oracle[g.find(root)] == 7
 
 
@@ -154,4 +154,28 @@ def test_unresolvable_root_raises():
     only_loop.classes[c0].add(node)
     only_loop.hashcons[node] = c0
     with pytest.raises(ExtractionError):
-        extract_best(only_loop, c0, UNIT)
+        extract_best(only_loop, [c0], UNIT)
+
+
+def test_one_pass_over_all_roots_equals_per_root_passes():
+    # multi-sink programs share one saturated graph; (delta (persist u))
+    # and u end up in one class, as does a root listed twice
+    rng = random.Random(11)
+    rules = list(rule_set("all").rewrites)
+    limits = SaturationLimits(max_iters=8, max_nodes=1000)
+    shared = 0
+    for _ in range(25):
+        trees = [random_term(rng, depth=rng.randint(1, 4)) for _ in range(rng.randint(2, 4))]
+        trees += [parse_term("(delta (persist u))"), source("u")]
+        g = EGraph()
+        roots = [g.add(t) for t in trees]
+        roots.append(roots[0])
+        g.saturate(rules, limits)
+        one = extract_best(g, roots)
+        assert one == [extract_best(g, [r])[0] for r in roots]
+        for i, a in enumerate(roots):
+            for j in range(i):
+                if g.find(a) == g.find(roots[j]):
+                    assert one[i] is one[j]
+                    shared += 1
+    assert shared >= 50

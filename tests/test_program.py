@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
-from flowsat.program import flatten, parse_program, print_program, reform_cse
+from flowsat.program import ProgramFile, flatten, parse_program, print_program, reform_cse
 from flowsat.sexpr import ParseError
-from flowsat.terms import cross, filter_, map_, parse_term, persist, source
+from flowsat.terms import Term, cross, filter_, iter_subterms, map_, parse_term, persist, source
 
 from oracles import random_term, repeated_subtrees
 
@@ -79,14 +80,14 @@ def test_flatten_meetup_duplicates_shared_pipeline():
 
 def test_reform_cse_single_shared_subtree():
     trees = {"s": cross(persist(source("a")), persist(source("a")))}
-    p = reform_cse(trees, 2)
+    p = reform_cse(trees)
     assert p.defs == {"d0": persist(source("a"))}
     assert p.sinks == {"s": cross(source("d0"), source("d0"))}
 
 
 def test_reform_cse_no_repeats_unchanged():
     trees = {"s": parse_term("(chain a b)")}
-    p = reform_cse(trees, 2)
+    p = reform_cse(trees)
     assert p.defs == {}
     assert p.sinks == trees
 
@@ -98,7 +99,7 @@ def test_reform_cse_across_sinks():
     }
     # oracle: brute-force subtree counting finds exactly one repeat of size >= 2
     assert repeated_subtrees(trees.values(), 2) == {persist(source("a"))}
-    p = reform_cse(trees, 2)
+    p = reform_cse(trees)
     assert p.defs == {"d0": persist(source("a"))}
     assert p.sinks == {"s1": map_("f", source("d0")), "s2": filter_("g", source("d0"))}
 
@@ -107,7 +108,7 @@ def test_reform_cse_nested_repeats_hoist_innermost_first():
     inner = persist(source("a"))
     outer = cross(inner, inner)
     trees = {"s": cross(outer, outer)}
-    p = reform_cse(trees, 2)
+    p = reform_cse(trees)
     assert p.defs["d0"] == inner
     assert p.defs["d1"] == cross(source("d0"), source("d0"))
     assert p.sinks["s"] == cross(source("d1"), source("d1"))
@@ -115,31 +116,42 @@ def test_reform_cse_nested_repeats_hoist_innermost_first():
 
 def test_reform_cse_fresh_names_avoid_sources():
     trees = {"s": cross(persist(source("d0")), persist(source("d0")))}
-    p = reform_cse(trees, 2)
+    p = reform_cse(trees)
     assert "d0" not in p.defs
     assert flatten(p) == trees
 
 
-def test_reform_cse_min_size_one_hoists_leaves():
-    trees = {"s": cross(source("a"), source("a"))}
-    p = reform_cse(trees, 1)
-    assert p.defs == {"d0": source("a")}
-    assert flatten(p) == trees
+def _teed_trees(rng: random.Random) -> dict[str, Term]:
+    """Sink trees flattened from a random program whose defs may be read
+    several times, from sinks and from later defs: tees, nested ones too."""
+    names = ["u", "v", "w"]
+    defs = {}
+    for k in range(rng.randint(1, 3)):
+        defs[f"t{k}"] = random_term(rng, depth=rng.randint(1, 3), sources=tuple(names))
+        names.append(f"t{k}")
+    sinks = {
+        f"s{i}": random_term(rng, depth=rng.randint(1, 4), sources=tuple(names))
+        for i in range(rng.randint(1, 3))
+    }
+    return flatten(ProgramFile(defs=defs, sinks=sinks))
 
 
 def test_flatten_reform_round_trip_random():
     rng = random.Random(42)
-    for _ in range(60):
-        trees = {
-            f"s{i}": random_term(rng, depth=rng.randint(1, 4))
-            for i in range(rng.randint(1, 3))
-        }
-        for min_size in (1, 2, 3):
-            p = reform_cse(trees, min_size)
-            assert flatten(p) == trees
-            # nothing of size >= min_size repeats after hoisting
-            bodies = list(p.defs.values()) + list(p.sinks.values())
-            assert not repeated_subtrees(bodies, max(min_size, 2))
+    batches = [
+        {f"s{i}": random_term(rng, depth=rng.randint(1, 4)) for i in range(rng.randint(1, 3))}
+        for _ in range(60)
+    ]
+    batches += [_teed_trees(rng) for _ in range(60)]
+    for trees in batches:
+        p = reform_cse(trees)
+        assert flatten(p) == trees
+        # nothing of size >= 2 repeats after hoisting
+        bodies = list(p.defs.values()) + list(p.sinks.values())
+        assert not repeated_subtrees(bodies, 2)
+        # and every def is read at least twice: none could be inlined
+        reads = Counter(n.symbol for b in bodies for n in iter_subterms(b) if n.op == "source")
+        assert all(reads[name] >= 2 for name in p.defs), (p.defs, reads)
 
 
 def test_print_parse_program_round_trip():

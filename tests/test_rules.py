@@ -127,7 +127,7 @@ def test_join_pipeline_removes_delta():
     g, root, _ = saturated_graph(
         "(delta (join (persist a) (persist b)))", core_rules() + join_rules()
     )
-    best = extract_best(g, root, CostModel())
+    best = extract_best(g, [root], CostModel())[0]
     assert count_op(best, "delta") == 0
     p1 = single_sink_program(parse_term("(delta (join (persist a) (persist b)))"))
     p2 = single_sink_program(best)
@@ -201,7 +201,7 @@ def test_every_recorded_application_is_sound():
             if rw.condition is not None and not rw.condition(g, g.find(cid), subst):
                 continue
             env = {
-                name: extract_best(g, val, unit)
+                name: extract_best(g, [val], unit)[0]
                 for name, val in subst.items()
                 if isinstance(val, int)
             }
