@@ -16,7 +16,7 @@ from __future__ import annotations
 from .egraph import EGraph, Rewrite, Subst, _node_key, parse_pattern
 from .extract import CostModel, best_term
 from .rules import RuleSet, bidirectional
-from .terms import HOLE_OPS, Term, print_term
+from .terms import HOLE_OPS, MERGE_HOLES, Term, print_term
 
 # operators allowed along a zipper edge
 EDGE_OPS = ("persist", "delta", "old", "prev", "map", "filter")
@@ -76,7 +76,7 @@ def _desugar(t: Term, keep: frozenset[str]) -> Term:
         shared = _desugar(t.children[0], keep)
         # nested diamonds in the merge consume their own holes first; what
         # remains are this diamond's (merge holes scope innermost)
-        merge = _desugar(t.children[3], keep | {"hole-first", "hole-second"})
+        merge = _desugar(t.children[3], keep | MERGE_HOLES)
         first = _apply_edge(shared, t.children[1])
         second = _apply_edge(shared, t.children[2])
         if not _mentions(merge, "hole-first") or not _mentions(merge, "hole-second"):

@@ -2,8 +2,9 @@
 
 E-nodes are (op, symbol, child-class-ids) triples, hashconsed into
 e-classes kept canonical by a union-find. rebuild() restores the
-congruence invariant after unions; saturate() runs a batch
-match-then-apply loop over a rewrite list until fixpoint or a limit.
+congruence invariant after unions and leaves every class canonical and
+indexed by op for ematch(); saturate() runs a batch match-then-apply
+loop over a rewrite list until fixpoint or a budget.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .sexpr import Atom, SExpr, read_form
-from .terms import ATOM_FOR_HOLE, HOLE_ATOMS, HOLE_OPS, Term, check_name, split_form
+from .terms import HOLE_ATOMS, Term, check_name, print_node, split_form
 
 ENode = tuple  # (op: str, symbol: str | None, children: tuple[int, ...])
 
@@ -130,8 +131,8 @@ class EGraph:
         self._node_parents: dict[int, list[tuple[ENode, int]]] = {}
         self._dirty: list[int] = []
         self.version = 0
+        # per class, its nodes by op in _node_key order: ematch's index
         self._byop: dict[int, dict[str, list[ENode]]] = {}
-        self._index_version = -1
 
     # union-find ------------------------------------------------------
 
@@ -158,6 +159,7 @@ class EGraph:
             return self.find(cid)
         cid = self._new_class()
         self.classes[cid].add(node)
+        self._byop[cid] = {op: [node]}
         self.hashcons[node] = cid
         for ch in set(node[2]):
             self._node_parents[ch].append((node, cid))
@@ -185,13 +187,22 @@ class EGraph:
     # congruence repair -------------------------------------------------
 
     def rebuild(self):
-        """Restore the invariant that congruent e-nodes share one class."""
+        """Restore the invariant that congruent e-nodes share one class, then
+        re-canonicalize every class's nodes and re-index them by op."""
+        if not self._dirty:
+            return
         while self._dirty:
             todo = {self.find(c) for c in self._dirty}
             self._dirty = []
             for cid in todo:
                 self._repair(self.find(cid))
-        self._normalize()
+        self._byop = {}
+        for cid, nodes in self.classes.items():
+            nodes = {(op, sym, tuple(self.find(x) for x in ch)) for op, sym, ch in nodes}
+            self.classes[cid] = nodes
+            d = self._byop[cid] = {}
+            for node in sorted(nodes, key=_node_key):
+                d.setdefault(node[0], []).append(node)
 
     def _repair(self, cid: int):
         # Detach the parent list first: unions below may merge cid itself
@@ -214,16 +225,6 @@ class EGraph:
         root = self.find(cid)
         self._node_parents.setdefault(root, []).extend(fresh.items())
 
-    def _normalize(self):
-        """Re-canonicalize stored node forms and drop duplicates."""
-        new_classes: dict[int, set[ENode]] = {}
-        for cid, nodes in self.classes.items():
-            out = set()
-            for op, sym, ch in nodes:
-                out.add((op, sym, tuple(self.find(x) for x in ch)))
-            new_classes[cid] = out
-        self.classes = new_classes
-
     # queries -----------------------------------------------------------
 
     def num_classes(self) -> int:
@@ -235,32 +236,12 @@ class EGraph:
     def class_nodes(self, cid: int) -> set[ENode]:
         return self.classes[self.find(cid)]
 
-    def _ensure_index(self):
-        if self._index_version == self.version and not self._dirty:
-            return
-        self.rebuild()
-        byop: dict[int, dict[str, list[ENode]]] = {}
-        for cid, nodes in self.classes.items():
-            d: dict[str, list[ENode]] = {}
-            for node in sorted(nodes, key=_node_key):
-                d.setdefault(node[0], []).append(node)
-            byop[cid] = d
-        self._byop = byop
-        self._index_version = self.version
-
     def ematch(self, pattern: PatternT) -> list[tuple[int, Subst]]:
         """All (class, substitution) pairs where the pattern instantiates
-        inside the class; complete up to canonicalization, duplicate-free."""
-        self._ensure_index()
-        results: list[tuple[int, Subst]] = []
-        seen: set = set()
-        for cid in sorted(self.classes):
-            for s in self._match_class(pattern, cid, {}):
-                key = (cid, tuple(sorted(s.items())))
-                if key not in seen:
-                    seen.add(key)
-                    results.append((cid, s))
-        return results
+        inside the class; complete up to canonicalization. On the rebuilt
+        graph a substitution determines its match, so none repeats."""
+        self.rebuild()
+        return [(cid, s) for cid in sorted(self.classes) for s in self._match_class(pattern, cid, {})]
 
     def _match_class(self, pat: PatternT, cid: int, subst: Subst) -> list[Subst]:
         if isinstance(pat, PVar):
@@ -309,13 +290,23 @@ class EGraph:
         rules: list[Rewrite],
         limits: SaturationLimits | None = None,
     ) -> SaturationReport:
-        """Batch equality saturation: per iteration, match every rule against
-        the rebuilt graph, filter by conditions (on canonical ids), apply all
-        surviving matches, rebuild. Conditions are re-checked every iteration
-        since merges can turn a false condition true later."""
+        """Batch equality saturation: per iteration, rebuild, match every rule
+        against the rebuilt graph, filter by conditions (on canonical ids) and
+        apply all surviving matches. Conditions are re-checked every iteration
+        since merges can turn a false condition true later. The budget is
+        checked before each iteration, after each rule's matches and every
+        100 applications; a budget stop wins over `saturated`, which needs
+        every rule matched and nothing changed."""
         limits = limits or SaturationLimits()
-        t0 = time.monotonic()
-        deadline = t0 + limits.max_millis / 1000.0
+        deadline = time.monotonic() + limits.max_millis / 1000.0
+
+        def over_budget() -> Optional[str]:
+            if len(self.hashcons) >= limits.max_nodes:
+                return "node-limit"
+            if time.monotonic() > deadline:
+                return "time-limit"
+            return None
+
         counts = {r.name: 0 for r in rules}
         report = SaturationReport(rule_counts=counts)
         self.rebuild()
@@ -323,21 +314,18 @@ class EGraph:
         iters = 0
         while iters < limits.max_iters:
             iters += 1
-            if self.num_enodes() >= limits.max_nodes:
-                stop = "node-limit"
-                break
-            version_before = self.version
+            over = over_budget()
             matches: list[tuple[Rewrite, int, Subst]] = []
-            timed_out = False
             for rule in rules:
-                for cid, subst in self.ematch(rule.lhs):
-                    matches.append((rule, cid, subst))
-                if time.monotonic() > deadline:
-                    timed_out = True
+                if over:
                     break
-            applied_since_check = 0
-            hit_limit = None
+                matches += [(rule, cid, subst) for cid, subst in self.ematch(rule.lhs)]
+                over = over_budget()
+            version_before = self.version
+            applied = 0
             for rule, cid, subst in matches:
+                if over:
+                    break
                 cid = self.find(cid)
                 subst = {k: self.find(v) if isinstance(v, int) else v for k, v in subst.items()}
                 if rule.condition is not None and not rule.condition(self, cid, subst):
@@ -352,24 +340,15 @@ class EGraph:
                 if self.version == before:
                     continue  # no-op application: nothing new, nothing merged
                 counts[rule.name] += 1
-                applied_since_check += 1
-                if applied_since_check >= 100:
-                    applied_since_check = 0
-                    if len(self.hashcons) >= limits.max_nodes:
-                        hit_limit = "node-limit"
-                        break
-                    if time.monotonic() > deadline:
-                        hit_limit = "time-limit"
-                        break
+                applied += 1
+                if applied % 100 == 0:
+                    over = over_budget()
             self.rebuild()
-            if hit_limit is not None:
-                stop = hit_limit
+            if over:
+                stop = over
                 break
             if self.version == version_before:
                 stop = "saturated"
-                break
-            if timed_out:
-                stop = "time-limit"
                 break
         report.iterations = iters
         report.enodes = self.num_enodes()
@@ -388,17 +367,8 @@ class EGraph:
         for cid in sorted(self.classes):
             parts = [f"(class {cid}"]
             for op, sym, ch in sorted(self.classes[cid], key=_node_key):
-                toks: list[str]
-                if op == "source":
-                    toks = [sym]
-                elif op in HOLE_OPS:
-                    toks = [ATOM_FOR_HOLE[op]]
-                elif sym is not None:
-                    toks = [op, sym]
-                else:
-                    toks = [op]
-                toks += [str(c) for c in ch]
-                parts.append("(node " + " ".join(toks) + ")")
+                text = print_node(op, sym, [str(c) for c in ch])
+                parts.append("(node " + text.strip("()") + ")")
             lines.append(" ".join(parts) + ")")
         return "\n".join(lines) + "\n"
 

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 from .egraph import EGraph
 from .sexpr import Atom, ParseError, SList, read_forms
 from .terms import (
+    HOLE_OPS,
     NAME_RE,
     Term,
+    bound_holes,
     check_name,
     iter_subterms,
     print_term,
@@ -137,9 +139,11 @@ def reform_cse(trees: dict[str, Term], sources: tuple[str, ...] = ()) -> Program
     Hashconsing is CSE: the trees go into a rule-less EGraph, where each
     distinct subtree is one class holding one e-node. A class is read once
     per sink it roots and once per child edge of that e-node, and each
-    non-leaf class read twice or more becomes a def. Defs are named d0,
-    d1, ... in post-order from the sinks, skipping names in use, so every
-    def refers only to earlier ones and none is read fewer than twice.
+    non-leaf class read twice or more becomes a def, unless a hole occurs
+    free in it: a hole must stay under the zipper or diamond that binds it
+    (terms.bound_holes). Defs are named d0, d1, ... in post-order from the
+    sinks, skipping names in use, so every def refers only to earlier ones
+    and none is read fewer than twice.
     `sources` are the declared source names: the result declares them too,
     and no def takes one of their names.
     """
@@ -154,6 +158,7 @@ def reform_cse(trees: dict[str, Term], sources: tuple[str, ...] = ()) -> Program
 
     defs: dict[str, Term] = {}
     built: dict[int, Term] = {}  # per class: its def reference or inlined tree
+    free: dict[int, frozenset[str]] = {}  # per class: the holes free in it
     for root in roots.values():
         stack = [root]
         while stack:
@@ -167,8 +172,9 @@ def reform_cse(trees: dict[str, Term], sources: tuple[str, ...] = ()) -> Program
                 stack.extend(reversed(pending))
                 continue
             stack.pop()
+            free[cid] = (HOLE_OPS & {op}).union(*(free[k] - bound_holes(op, i) for i, k in enumerate(kids)))
             body = Term(op, tuple(built[k] for k in kids), sym)
-            if kids and reads[cid] >= 2:
+            if kids and reads[cid] >= 2 and not free[cid]:
                 name = next(names)
                 defs[name] = body
                 body = source(name)

@@ -56,6 +56,8 @@ HOLE_ATOMS = {
 }
 HOLE_OPS = frozenset(HOLE_ATOMS.values())
 ATOM_FOR_HOLE = {op: atom for atom, op in HOLE_ATOMS.items()}
+ZIPPER_HOLES = frozenset({"hole-in", "hole-out"})
+MERGE_HOLES = frozenset({"hole-first", "hole-second"})
 
 NAME_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
 # Operator names, hole atoms, and the handful of file-format keywords cannot
@@ -165,6 +167,16 @@ def split_form(sx: SList) -> tuple[str, Optional[Atom], tuple[SExpr, ...]]:
     return op, fn, args[1:]
 
 
+def bound_holes(op: str, i: int) -> frozenset[str]:
+    """The holes an op binds in its i-th input: a zipper's cursor ends in
+    both halves, a diamond's edge results in its merge term."""
+    if op == "zipper":
+        return ZIPPER_HOLES
+    if op == "diamond" and i == 3:
+        return MERGE_HOLES
+    return frozenset()
+
+
 def term_from_sexpr(sx: SExpr, allowed_holes: frozenset[str] = frozenset()) -> Term:
     if isinstance(sx, Atom):
         hole = HOLE_ATOMS.get(sx.text)
@@ -175,17 +187,7 @@ def term_from_sexpr(sx: SExpr, allowed_holes: frozenset[str] = frozenset()) -> T
         return source(check_name(sx.text, sx.line, sx.col, "source name"))
     op, fn, args = split_form(sx)
     symbol = None if fn is None else check_name(fn.text, fn.line, fn.col, "function name")
-    if op == "zipper":
-        inner = allowed_holes | {"hole-in", "hole-out"}
-        children = tuple(term_from_sexpr(a, inner) for a in args)
-    elif op == "diamond":
-        merge_holes = allowed_holes | {"hole-first", "hole-second"}
-        children = tuple(
-            term_from_sexpr(a, merge_holes if i == 3 else allowed_holes)
-            for i, a in enumerate(args)
-        )
-    else:
-        children = tuple(term_from_sexpr(a, allowed_holes) for a in args)
+    children = tuple(term_from_sexpr(a, allowed_holes | bound_holes(op, i)) for i, a in enumerate(args))
     return Term(op, children, symbol)
 
 

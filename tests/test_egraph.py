@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from flowsat.egraph import EGraph, Rewrite, SaturationLimits, parse_pattern
-from flowsat.rules import core_rules
+from flowsat.program import flatten, parse_program
+from flowsat.rules import core_rules, rule_set
 from flowsat.sexpr import ParseError
 from flowsat.terms import chain, parse_term, source
 
@@ -13,7 +15,10 @@ from oracles import (
     canonical_class_nodes,
     chain_shapes,
     random_graph_spec,
+    random_term,
 )
+
+PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.flow"))
 
 
 def test_add_is_hashconsed():
@@ -128,6 +133,62 @@ def test_ematch_symbol_variable():
     matches = g.ematch(parse_pattern("(map ?f ?x)"))
     assert {m[1]["f"] for m in matches} == {"f", "g"}
     assert len(g.ematch(parse_pattern("(map f ?x)"))) == 1
+
+
+def test_ematch_sees_classes_added_since_the_last_match():
+    g = EGraph()
+    g.add(parse_term("(persist a)"))
+    pat = parse_pattern("(persist ?a)")
+    assert len(g.ematch(pat)) == 1
+    g.add(parse_term("(persist b)"))
+    assert len(g.ematch(pat)) == 2
+
+
+def test_ematch_repeats_no_match_on_saturated_graphs():
+    # on a rebuilt graph a substitution determines its match, so no rule's
+    # match list holds a (class, substitution) pair twice
+    rng = random.Random(5)
+    batches = [(flatten(parse_program(p.read_text())), SaturationLimits()) for p in PROGRAMS]
+    for _ in range(6):
+        trees = {f"s{i}": random_term(rng, depth=rng.randint(1, 4)) for i in range(rng.randint(2, 4))}
+        batches.append((trees, SaturationLimits(max_iters=8, max_nodes=1000)))
+    rules = list(rule_set("all").rewrites)
+    total = 0
+    for trees, limits in batches:
+        g = EGraph()
+        for t in trees.values():
+            g.add(t)
+        g.saturate(rules, limits)
+        for rule in rules:
+            keys = [(cid, tuple(sorted(s.items()))) for cid, s in g.ematch(rule.lhs)]
+            assert len(keys) == len(set(keys)), rule.name
+            total += len(keys)
+    assert total > 1000
+
+
+def test_deadline_passed_while_matching_is_a_time_limit(monkeypatch):
+    # the clock passes the deadline while the first rule is matched: swap
+    # was never matched, so the run must not claim a fixpoint
+    now = [0.0]
+    monkeypatch.setattr("flowsat.egraph.time.monotonic", lambda: now[0])
+    g = EGraph()
+    g.add(parse_term("(chain a b)"))
+    matched = []
+
+    def ematch(pattern):
+        matched.append(pattern)
+        now[0] = 3600.0
+        return EGraph.ematch(g, pattern)
+
+    g.ematch = ematch
+    rules = [
+        Rewrite("collapse", parse_pattern("(delta (persist ?a))"), parse_pattern("?a")),
+        Rewrite("swap", parse_pattern("(chain ?a ?b)"), parse_pattern("(chain ?b ?a)")),
+    ]
+    rep = g.saturate(rules, SaturationLimits(max_millis=1000))
+    assert rep.stop_reason == "time-limit"
+    assert len(matched) == 1
+    assert rep.rule_counts == {"collapse": 0, "swap": 0}
 
 
 def test_saturate_delta_persist_collapse():

@@ -121,6 +121,27 @@ def test_reform_cse_fresh_names_avoid_sources():
     assert flatten(p) == trees
 
 
+def test_reform_cse_keeps_free_holes_under_their_binder():
+    # (old out) and (prev first) are each read twice, but a def of either
+    # would lift a hole out of the zipper or merge that binds it
+    text = (
+        "(sink d (diamond a (zipper in (chain (old out) (old out))) (zipper in out)"
+        " (cross (prev first) (prev first))))"
+    )
+    trees = flatten(parse_program(text))
+    p = reform_cse(trees)
+    assert p.defs == {}
+    assert flatten(parse_program(print_program(p))) == trees
+
+
+def test_reform_cse_hoists_subtrees_that_bind_their_holes():
+    text = "(sink d (diamond a (zipper in (old out)) (zipper in (old out)) (cross first second)))"
+    trees = flatten(parse_program(text))
+    printed = print_program(reform_cse(trees))
+    assert "(def d0 (zipper in (old out)))" in printed
+    assert flatten(parse_program(printed)) == trees
+
+
 def _teed_trees(rng: random.Random) -> dict[str, Term]:
     """Sink trees flattened from a random program whose defs may be read
     several times, from sinks and from later defs: tees, nested ones too."""
