@@ -11,6 +11,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+from .diamond import desugar
 from .egraph import EGraph, SaturationLimits, SaturationReport
 from .extract import CostModel, extract_best, term_cost
 from .interp import equivalent, random_trace, synthetic_udfs
@@ -60,8 +61,21 @@ def optimize_trees(
     return dict(zip(roots, best)), report
 
 
-def optimize_program(program: ProgramFile, config: OptimizeConfig) -> OptimizeResult:
+def _sink_trees(program: ProgramFile, rules: str) -> dict[str, Term]:
+    """The flattened sink trees that saturation under `rules` starts from.
+
+    Only the diamond catalog reads the diamond encoding. The plain catalogs
+    get every diamond desugared, so their laws never match inside a zipper
+    half; the duplicated shared child is one class in the e-graph, and
+    reform_cse prints it back as one def."""
     trees = flatten(program)
+    if rules == "diamond":
+        return trees
+    return {name: desugar(t) for name, t in trees.items()}
+
+
+def optimize_program(program: ProgramFile, config: OptimizeConfig) -> OptimizeResult:
+    trees = _sink_trees(program, config.rules)
     model = config.model
     best, report = optimize_trees(trees, rule_set(config.rules), config.limits, model)
     result = reform_cse(best, program.sources)
@@ -95,16 +109,6 @@ def run_checks(p1: ProgramFile, p2: ProgramFile, traces: int, ticks: int, seed: 
         yield i, equivalent(p1, p2, trace, udfs)
 
 
-def _parse_weight_flag(items: list[str]) -> dict[str, float]:
-    weights: dict[str, float] = {}
-    for item in items:
-        if "=" not in item:
-            raise ValueError(f"--weight expects op=value, got {item!r}")
-        op, _, val = item.partition("=")
-        weights[op.strip()] = float(val)
-    return weights
-
-
 def parse_weights_config(text: str) -> dict[str, float]:
     """Config file format: one `op = weight` per line; ; comments allowed."""
     weights: dict[str, float] = {}
@@ -124,8 +128,11 @@ def _build_model(args) -> CostModel:
     if getattr(args, "weights_file", None):
         with open(args.weights_file, encoding="utf-8") as fh:
             weights.update(parse_weights_config(fh.read()))
-    if getattr(args, "weight", None):
-        weights.update(_parse_weight_flag(args.weight))
+    for item in getattr(args, "weight", None) or ():
+        try:
+            weights.update(parse_weights_config(item))
+        except ValueError as e:
+            raise ValueError(f"--weight {item!r}: {e}") from None
     return CostModel(op_weights=weights)
 
 
@@ -215,7 +222,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    trees = flatten(_load_program(args.program))
+    trees = _sink_trees(_load_program(args.program), args.rules)
     limits = SaturationLimits(args.max_iters, args.max_nodes, args.max_millis)
     g, roots, report = _saturate_trees(trees, rule_set(args.rules), limits)
     for name, root in roots.items():
@@ -223,6 +230,13 @@ def cmd_dump(args) -> int:
     sys.stdout.write(g.dump())
     print(report.to_lines())
     return EXIT_OK
+
+
+def _trace_count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"trace count must be >= 0, got {n}")
+    return n
 
 
 def _add_saturation_flags(p: argparse.ArgumentParser):
@@ -242,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_saturation_flags(p_opt)
     p_opt.add_argument("--weight", action="append", default=[], metavar="OP=N")
     p_opt.add_argument("--weights-file", help="file of 'op = weight' lines")
-    p_opt.add_argument("--check", type=int, default=0, metavar="N",
+    p_opt.add_argument("--check", type=_trace_count, default=0, metavar="N",
                        help="differentially check against N random traces")
     p_opt.add_argument("--ticks", type=int, default=10)
     p_opt.add_argument("--seed", type=int, default=None)
@@ -254,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="differentially test two program files")
     p_chk.add_argument("program_a")
     p_chk.add_argument("program_b")
-    p_chk.add_argument("--traces", type=int, default=10)
+    p_chk.add_argument("--traces", type=_trace_count, default=10)
     p_chk.add_argument("--ticks", type=int, default=10)
     p_chk.add_argument("--seed", type=int, default=None)
     p_chk.set_defaults(fn=cmd_check)

@@ -22,7 +22,7 @@ from .terms import HOLE_OPS, MERGE_HOLES, Term, print_term
 EDGE_OPS = ("persist", "delta", "old", "prev", "map", "filter")
 
 
-class DiamondError(Exception):
+class DiamondError(ValueError):
     pass
 
 

@@ -25,6 +25,7 @@ revisits a class along a path and the loop ends.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -50,8 +51,8 @@ class CostModel:
         for op, w in self.op_weights.items():
             if op not in ARITY or op in STRUCTURAL_OPS:
                 raise ValueError(f"not a weightable operator: {op!r}")
-            if w <= 0:
-                raise ValueError(f"weight for {op!r} must be > 0")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"weight for {op!r} must be finite and > 0, got {w}")
 
     def weight(self, op: str) -> float:
         if op in STRUCTURAL_OPS:

@@ -107,7 +107,12 @@ def unary_rules() -> RuleSet:
 
 
 def rule_set(name: str) -> RuleSet:
-    """Look up a rule set by CLI name: core, join, unary, diamond, or all."""
+    """Look up a rule set by CLI name: core, join, unary, diamond, or all.
+
+    `all` is the plain laws, core+join+unary. The diamond rewrites stay out
+    of it: a zipper's back half is stored reversed, so a plain law matched
+    there states something false (delta-persist would read persist∘delta
+    = id)."""
     from . import diamond as _diamond
 
     sets = {
@@ -117,8 +122,7 @@ def rule_set(name: str) -> RuleSet:
         "diamond": _diamond.diamond_rules,
     }
     if name == "all":
-        combined = core_rules() + join_rules() + unary_rules() + _diamond.diamond_rules()
-        return RuleSet("all", combined.rewrites)
+        return RuleSet("all", (core_rules() + join_rules() + unary_rules()).rewrites)
     try:
         return sets[name]()
     except KeyError:

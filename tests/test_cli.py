@@ -100,6 +100,84 @@ def test_parse_weights_config():
         parse_weights_config("garbage")
 
 
+def test_optimize_bad_weight_flag_names_item(tmp_path, capsys):
+    prog = write(tmp_path, "id.flow", "(sink out (persist a))\n")
+    for item in ("persist", "persist=lots"):
+        code, _, err = run_cli(capsys, "optimize", prog, "--weight", item)
+        assert code == 2
+        assert f"--weight {item!r}" in err
+
+
+@pytest.mark.parametrize("weight", ["delta=nan", "persist=inf"])
+def test_optimize_rejects_non_finite_weight(tmp_path, capsys, weight):
+    prog = write(tmp_path, "two_way.flow", TWO_WAY)
+    code, out, err = run_cli(capsys, "optimize", prog, "--weight", weight)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("optimize", "{p}", "--check", "-2"), ("check", "{p}", "{p}", "--traces", "-3")],
+)
+def test_negative_trace_count_exit_2(tmp_path, capsys, argv):
+    prog = write(tmp_path, "p.flow", "(sink out (persist a))\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(p=prog) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trace count must be >= 0" in captured.err
+
+
+# A back half is stored reversed: read there, delta-persist would claim
+# persist∘delta = id. The plain catalogs see diamonds desugared instead.
+UNSOUND_IN_ZIPPER = (
+    "(sink d (diamond a (zipper in (delta (persist out))) (zipper in (filter p out))"
+    " (chain first second)))\n"
+)
+# core laws rewriting inside a front half once left `chain` in a zipper
+D11 = (
+    "(sink d (diamond (old a) (zipper (persist (map with_school in)) (old out))"
+    " (zipper in (filter p out)) (chain first second)))\n"
+)
+
+
+@pytest.mark.parametrize("text", [UNSOUND_IN_ZIPPER, D11])
+def test_optimize_all_checks_diamond_programs(tmp_path, capsys, text):
+    prog = write(tmp_path, "d.flow", text)
+    code, out, err = run_cli(capsys, "optimize", prog, "--rules", "all", "--check", "5")
+    assert code == 0, err
+    assert "5/5 traces equivalent" in err
+    # the desugared shared child is one class, printed back as one def
+    optimized = parse_program(out)
+    assert count_op(optimized.sinks["d"], "diamond") == 0
+
+
+def test_optimize_diamond_rules_keep_the_encoding(tmp_path, capsys):
+    prog = write(tmp_path, "d.flow", D11)
+    code, out, _ = run_cli(capsys, "optimize", prog, "--rules", "diamond", "--check", "2")
+    assert code == 0
+    assert count_op(parse_program(out).sinks["d"], "diamond") == 1
+
+
+def test_dump_all_saturates_desugared_diamonds(tmp_path, capsys):
+    prog = write(tmp_path, "d.flow", D11)
+    code, out, _ = run_cli(capsys, "dump", prog, "--rules", "all")
+    assert code == 0
+    assert "zipper" not in out and "diamond" not in out
+
+
+def test_optimize_malformed_diamond_exit_2(tmp_path, capsys):
+    # parses, but its merge term reads only one edge
+    prog = write(tmp_path, "d.flow", "(sink d (diamond a (zipper in out) (zipper in out) first))\n")
+    code, out, err = run_cli(capsys, "optimize", prog)
+    assert code == 2
+    assert out == ""
+    assert "both first and second" in err
+
+
 def test_check_program_against_itself(tmp_path, capsys):
     prog = write(tmp_path, "p.flow", "(sink out (cross (persist a) b))\n")
     code, out, _ = run_cli(capsys, "check", prog, prog, "--traces", "3")

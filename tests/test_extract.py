@@ -48,6 +48,12 @@ def test_weights_must_be_positive():
         CostModel(op_weights={"zipper": 5})  # structural nodes not weightable
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf")])
+def test_weights_must_be_finite(w):
+    with pytest.raises(ValueError, match="finite"):
+        CostModel(op_weights={"delta": w})
+
+
 def test_diamond_shared_counted_once():
     d = parse_term(
         "(diamond (map f (persist a)) (zipper in out) (zipper in (filter g out))"

@@ -6,7 +6,7 @@ from flowsat.egraph import EGraph, PVar, Rewrite, SaturationLimits
 from flowsat.interp import equivalent, random_trace, run, synthetic_udfs
 from flowsat.program import single_sink_program
 from flowsat.rules import chain_prev_fold, core_rules, join_rules, rule_set, unary_rules
-from flowsat.terms import parse_term, print_term, source
+from flowsat.terms import HOLE_OPS, parse_term, print_term, source
 
 from oracles import instantiate_pattern, random_term
 
@@ -41,17 +41,34 @@ def test_core_rules_are_bidirectional_except_fold():
     assert "chain-prev-fold.rev" not in names
 
 
+RULE_SETS = ("core", "join", "unary", "diamond", "all")
+
+
+def pattern_ops(p) -> set[str]:
+    if p is None or isinstance(p, PVar):
+        return set()
+    return {p.op}.union(*(pattern_ops(c) for c in p.children))
+
+
 def test_no_rule_has_a_bare_variable_left_side():
     # such a left side matches every class, so saturation never reaches a fixpoint
-    bare = [r.name for r in rule_set("all").rewrites if isinstance(r.lhs, PVar)]
-    assert bare == []
+    for name in RULE_SETS:
+        bare = [r.name for r in rule_set(name).rewrites if isinstance(r.lhs, PVar)]
+        assert bare == [], name
 
 
 def test_rule_set_lookup():
     assert rule_set("core").name == "core"
-    assert rule_set("all").rewrites  # includes every catalog
     with pytest.raises(ValueError):
         rule_set("nope")
+    # `all` is the plain laws: a plain law matched inside a reversed zipper
+    # half is false there, so the diamond rewrites stay out of it
+    rs = rule_set("all")
+    plain = core_rules() + join_rules() + unary_rules()
+    assert [r.name for r in rs.rewrites] == [r.name for r in plain.rewrites]
+    scaffolding = {"diamond", "zipper"} | HOLE_OPS
+    for r in rs.rewrites:
+        assert not (pattern_ops(r.lhs) | pattern_ops(r.rhs)) & scaffolding, r.name
 
 
 def test_two_way_example_reaches_reference_incremental_form():
