@@ -50,7 +50,8 @@ def test_tracer_rule_set_assumptions_hold():
         rs = rule_set(name)
         rewrites = []
         for r in rs.rewrites:
-            lhs = PVar(r.lhs.name) if isinstance(r.lhs, PVar) else PNode(r.lhs.op, r.lhs.symbol, r.lhs.children)
+            p = r.lhs
+            lhs = PVar(p.name) if isinstance(p, PVar) else PNode(p.op, p.symbol, p.children)
             rewrites.append(dataclasses.replace(r, lhs=lhs, applier=r.applier))
         rebuilt = RuleSet(rs.name, tuple(rewrites))
         assert [r.name for r in rebuilt.rewrites] == [r.name for r in rs.rewrites]
