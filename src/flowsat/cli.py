@@ -7,7 +7,6 @@ differential checking, 1 saturation limit hit under --strict.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -119,7 +118,10 @@ def parse_weights_config(text: str) -> dict[str, float]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'op = weight'")
         op, _, val = line.partition("=")
-        weights[op.strip()] = float(val)
+        try:
+            weights[op.strip()] = float(val)
+        except ValueError:
+            raise ValueError(f"line {lineno}: weight {val.strip()!r} is not a number") from None
     return weights
 
 
@@ -134,13 +136,6 @@ def _build_model(args) -> CostModel:
         except ValueError as e:
             raise ValueError(f"--weight {item!r}: {e}") from None
     return CostModel(op_weights=weights)
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("FLOWSAT_SEED")
-    return int(env) if env else 0
 
 
 def _report_lines(result: OptimizeResult, fmt: str) -> list[str]:
@@ -171,7 +166,6 @@ def _load_program(path: str) -> ProgramFile:
 
 def cmd_optimize(args) -> int:
     program = _load_program(args.program)
-    seed = _resolve_seed(args)
     config = OptimizeConfig(
         rules=args.rules,
         limits=SaturationLimits(args.max_iters, args.max_nodes, args.max_millis),
@@ -193,7 +187,7 @@ def cmd_optimize(args) -> int:
             status = EXIT_STRICT
     if args.check:
         failures = 0
-        for i, rep in run_checks(program, result.program, args.check, args.ticks, seed):
+        for i, rep in run_checks(program, result.program, args.check, args.ticks, args.seed):
             if not rep:
                 failures += 1
                 print(f"check: trace {i + 1} DIVERGED: {rep.divergence}", file=sys.stderr)
@@ -209,9 +203,8 @@ def cmd_check(args) -> int:
     if set(p1.sinks) != set(p2.sinks):
         print("error: programs have different sink names", file=sys.stderr)
         return EXIT_USAGE
-    seed = _resolve_seed(args)
     failures = 0
-    for i, rep in run_checks(p1, p2, args.traces, args.ticks, seed):
+    for i, rep in run_checks(p1, p2, args.traces, args.ticks, args.seed):
         if rep:
             print(f"trace {i + 1}: ok")
         else:
@@ -239,6 +232,13 @@ def _trace_count(text: str) -> int:
     return n
 
 
+def _tick_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"tick count must be >= 1, got {n}")
+    return n
+
+
 def _add_saturation_flags(p: argparse.ArgumentParser):
     p.add_argument("--rules", default="all", choices=["core", "join", "unary", "diamond", "all"])
     p.add_argument("--max-iters", type=int, default=SaturationLimits.max_iters)
@@ -258,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--weights-file", help="file of 'op = weight' lines")
     p_opt.add_argument("--check", type=_trace_count, default=0, metavar="N",
                        help="differentially check against N random traces")
-    p_opt.add_argument("--ticks", type=int, default=10)
-    p_opt.add_argument("--seed", type=int, default=None)
+    p_opt.add_argument("--ticks", type=_tick_count, default=10)
+    p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--strict", action="store_true",
                        help="fail if saturation hits a limit before fixpoint")
     p_opt.add_argument("--format", default="text", choices=["text", "lines"])
@@ -269,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("program_a")
     p_chk.add_argument("program_b")
     p_chk.add_argument("--traces", type=_trace_count, default=10)
-    p_chk.add_argument("--ticks", type=int, default=10)
-    p_chk.add_argument("--seed", type=int, default=None)
+    p_chk.add_argument("--ticks", type=_tick_count, default=10)
+    p_chk.add_argument("--seed", type=int, default=0)
     p_chk.set_defaults(fn=cmd_check)
 
     p_dmp = sub.add_parser("dump", help="saturate and dump the e-graph")
@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (OSError, ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: program nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

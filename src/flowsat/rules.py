@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .egraph import EGraph, Rewrite, Subst, parse_pattern
+from .terms import ARITY
 
 
 @dataclass(frozen=True)
@@ -54,56 +55,47 @@ def chain_prev_fold() -> Rewrite:
     )
 
 
+# The linear time-invariant operators (DBSP's LTI operators): each one is
+# linear in every input, so it distributes over chain, and commutes with a
+# one-tick delay, so prev lifts through it.
+LTI_OPS = ("cross", "join", "map", "filter")
+
+
+def lti_laws(op: str) -> tuple[list[Rewrite], list[Rewrite]]:
+    """An LTI operator's laws: its distribution over chain (-dist-left and
+    -dist-right for a binary operator, -dist-chain for a unary one) and its
+    -prev-lift."""
+    if ARITY[op][0] == 1:
+        f = f"{op} ?f"
+        dist = bidirectional(f"{op}-dist-chain", f"({f} (chain ?a ?b))", f"(chain ({f} ?a) ({f} ?b))")
+        lift = bidirectional(f"{op}-prev-lift", f"({f} (prev ?a))", f"(prev ({f} ?a))")
+        return dist, lift
+    dist = bidirectional(f"{op}-dist-left", f"({op} (chain ?a ?b) ?c)", f"(chain ({op} ?a ?c) ({op} ?b ?c))")
+    dist += bidirectional(f"{op}-dist-right", f"({op} ?a (chain ?b ?c))", f"(chain ({op} ?a ?b) ({op} ?a ?c))")
+    lift = bidirectional(f"{op}-prev-lift", f"({op} (prev ?a) (prev ?b))", f"(prev ({op} ?a ?b))")
+    return dist, lift
+
+
 def core_rules() -> RuleSet:
+    cross_dist, cross_lift = lti_laws("cross")
     rewrites = [Rewrite("delta-persist", lhs=parse_pattern("(delta (persist ?a))"), rhs=parse_pattern("?a"))]
     rewrites += bidirectional("persist-split", "(persist ?a)", "(chain (old ?a) ?a)")
-    rewrites += bidirectional(
-        "cross-dist-left",
-        "(cross (chain ?a ?b) ?c)",
-        "(chain (cross ?a ?c) (cross ?b ?c))",
-    )
-    rewrites += bidirectional(
-        "cross-dist-right",
-        "(cross ?a (chain ?b ?c))",
-        "(chain (cross ?a ?b) (cross ?a ?c))",
-    )
+    rewrites += cross_dist
     rewrites += bidirectional("chain-assoc", "(chain (chain ?a ?b) ?c)", "(chain ?a (chain ?b ?c))")
     rewrites += bidirectional("old-prev-persist", "(old ?a)", "(prev (persist ?a))")
-    rewrites += bidirectional("cross-prev-lift", "(cross (prev ?a) (prev ?b))", "(prev (cross ?a ?b))")
+    rewrites += cross_lift
     rewrites.append(chain_prev_fold())
     return RuleSet("core", tuple(rewrites))
 
 
 def join_rules() -> RuleSet:
-    rewrites: list[Rewrite] = []
-    rewrites += bidirectional(
-        "join-dist-left",
-        "(join (chain ?a ?b) ?c)",
-        "(chain (join ?a ?c) (join ?b ?c))",
-    )
-    rewrites += bidirectional(
-        "join-dist-right",
-        "(join ?a (chain ?b ?c))",
-        "(chain (join ?a ?b) (join ?a ?c))",
-    )
-    rewrites += bidirectional("join-prev-lift", "(join (prev ?a) (prev ?b))", "(prev (join ?a ?b))")
-    return RuleSet("join", tuple(rewrites))
+    dist, lift = lti_laws("join")
+    return RuleSet("join", tuple(dist + lift))
 
 
 def unary_rules() -> RuleSet:
-    rewrites: list[Rewrite] = []
-    for op in ("map", "filter"):
-        rewrites += bidirectional(
-            f"{op}-dist-chain",
-            f"({op} ?f (chain ?a ?b))",
-            f"(chain ({op} ?f ?a) ({op} ?f ?b))",
-        )
-        rewrites += bidirectional(
-            f"{op}-prev-lift",
-            f"({op} ?f (prev ?a))",
-            f"(prev ({op} ?f ?a))",
-        )
-    return RuleSet("unary", tuple(rewrites))
+    laws = [lti_laws(op) for op in LTI_OPS if ARITY[op][0] == 1]
+    return RuleSet("unary", tuple(r for dist, lift in laws for r in dist + lift))
 
 
 def rule_set(name: str) -> RuleSet:

@@ -218,14 +218,6 @@ def test_dump_shows_collapsed_root(tmp_path, capsys):
     assert "iterations=" in out
 
 
-def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
-    p1 = write(tmp_path, "p1.flow", "(sink out (persist a))\n")
-    p2 = write(tmp_path, "p2.flow", "(sink out a)\n")
-    monkeypatch.setenv("FLOWSAT_SEED", "7")
-    code, out, _ = run_cli(capsys, "check", p1, p2, "--traces", "1")
-    assert code == 3
-
-
 def test_optimize_three_way_checks_clean(tmp_path, capsys):
     text = (
         "(sink out (delta (cross (persist add_member)"
@@ -299,3 +291,43 @@ def test_optimize_deep_program(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "optimize", prog, "--max-nodes", "2000")
     assert code == 0
     assert parse_program(out).sinks["s"].op != "source"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimize", "{p}", "--check", "1", "--ticks", "0", "-o", "{o}"),
+        ("check", "{p}", "{p}", "--ticks", "-1"),
+    ],
+)
+def test_ticks_below_one_exit_2_before_writing(tmp_path, capsys, argv):
+    prog = write(tmp_path, "p.flow", "(sink out (persist a))\n")
+    out_file = tmp_path / "o.flow"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(p=prog, o=out_file) for a in argv])
+    assert exc.value.code == 2
+    assert not out_file.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tick count must be >= 1" in captured.err
+
+
+def test_weights_file_bad_number_names_its_line(tmp_path, capsys):
+    prog = write(tmp_path, "id.flow", "(sink out (persist a))\n")
+    weights = write(tmp_path, "weights.cfg", "persist = 1\ndelta = abc\n")
+    code, out, err = run_cli(capsys, "optimize", prog, "--weights-file", weights)
+    assert code == 2
+    assert out == ""
+    assert "line 2" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "check"])
+def test_deep_program_exit_2_without_traceback(tmp_path, capsys, command):
+    depth = 600
+    prog = write(tmp_path, "deep.flow", "(sink out " + "(persist " * depth + "a" + ")" * (depth + 1) + "\n")
+    argv = [command, prog] if command == "optimize" else [command, prog, prog]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
